@@ -63,7 +63,6 @@ from .generators import (
     shortest_path_closure,
 )
 from .io import (
-    MatrixDocument,
     MatrixFormat,
     detect_format,
     parse_gauge_csv,
@@ -85,7 +84,6 @@ __all__ = [
     "Interval",
     "InvalidMatrixError",
     "LabeledMatrix",
-    "MatrixDocument",
     "MatrixFormat",
     "ParseError",
     "PreconditionError",

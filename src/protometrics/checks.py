@@ -18,7 +18,9 @@ from .errors import InputError
 from .matrix import DEFAULT_TOLERANCE, InequalityType, Interval, LabeledMatrix, ToleranceConfig
 
 __all__ = [
+    "BASE_FLAGS",
     "DEFAULT_WITNESS_CAP",
+    "DERIVED_FLAGS",
     "PropertyVerdict",
     "Status",
     "ViolationWitness",
@@ -26,7 +28,9 @@ __all__ = [
     "check_strict",
     "check_transition",
     "check_triangle",
+    "degenerate_pairs",
     "diagonal_bounds",
+    "first_violation",
 ]
 
 DEFAULT_WITNESS_CAP = 10
@@ -44,7 +48,9 @@ class ViolationWitness:
 
     ``deficit`` is derived from the same slack value the scan used to flag
     the violation, so it can differ from rhs - lhs in the last binary digit
-    when the two sides were accumulated in a different order.
+    when the two sides were accumulated in a different order. A failing pair
+    (x, y) of a ``BASE_FLAGS`` test is recorded with z = y and deficit
+    |lhs - rhs|.
     """
 
     x: str
@@ -339,3 +345,95 @@ def diagonal_bounds(
         )
         out.append((label, interval, interval.contains(float(diag[i]), tol.eps_eq)))
     return out
+
+
+def first_violation(verdict: PropertyVerdict) -> ViolationWitness | None:
+    """The first witness of a failed verdict, or None when it passed."""
+    return verdict.witnesses[0] if verdict.status is Status.FAIL else None
+
+
+def degenerate_pairs(E: np.ndarray) -> np.ndarray:
+    """p(x,y) + p(y,x) - p(x,x) - p(y,y) for every pair, as an (n, n) array."""
+    diag = np.diagonal(E)
+    return (E + E.T) - (diag[:, None] + diag[None, :])
+
+
+def _first_pair(M: LabeledMatrix, bad: np.ndarray, sides) -> ViolationWitness | None:
+    """The first pair (x, y) in row-major order where ``bad`` holds, or None.
+
+    ``sides(E, x, y)`` gives the two compared values at that pair. The
+    witness has z = y and deficit |lhs - rhs|.
+    """
+    k = int(np.argmax(bad))
+    if not bad.flat[k]:
+        return None
+    x, y = divmod(k, M.n)
+    lhs, rhs = map(float, sides(M.entries, x, y))
+    return ViolationWitness(M.labels[x], M.labels[y], M.labels[y], lhs, rhs, abs(lhs - rhs))
+
+
+def _entry(E: np.ndarray, x: int, y: int) -> tuple[float, float]:
+    """Sides of a flag that compares d(x, y) with 0."""
+    return E[x, y], 0.0
+
+
+def _symmetric(M: LabeledMatrix, tol: ToleranceConfig) -> ViolationWitness | None:
+    E = M.entries
+    return _first_pair(M, np.abs(E - E.T) > tol.eps_eq, lambda E, x, y: (E[x, y], E[y, x]))
+
+
+def _nonnegative(M: LabeledMatrix, tol: ToleranceConfig) -> ViolationWitness | None:
+    return _first_pair(M, M.entries < -tol.eps_ineq, _entry)
+
+
+def _zero_diagonal(M: LabeledMatrix, tol: ToleranceConfig) -> ViolationWitness | None:
+    return _first_pair(M, np.diag(np.abs(np.diagonal(M.entries)) > tol.eps_eq), _entry)
+
+
+def _identity_of_indiscernibles(M: LabeledMatrix, tol: ToleranceConfig) -> ViolationWitness | None:
+    # Zero diagonal, and every pair of distinct points at |d| > eps_strict.
+    A = np.abs(M.entries)
+    off = ~np.eye(M.n, dtype=bool)
+    return _first_pair(M, np.where(off, A <= tol.eps_strict, A > tol.eps_eq), _entry)
+
+
+def _zero_protometric(M: LabeledMatrix, tol: ToleranceConfig) -> ViolationWitness | None:
+    # Written as not(<=) so that a NaN from overflowing sums fails.
+    bad = ~(np.abs(degenerate_pairs(M.entries)) <= tol.eps_eq)
+    return _first_pair(M, bad, lambda E, x, y: (E[x, y] + E[y, x], E[x, x] + E[y, y]))
+
+
+def _potential_difference(M: LabeledMatrix, tol: ToleranceConfig) -> ViolationWitness | None:
+    # d(x,y) = h(x) - h(y) with h(x) = d(x, ref), ref the first label.
+    E = M.entries
+    h = E[:, 0]
+    bad = np.abs((E - h[:, None]) + h[None, :]) > tol.eps_eq
+    return _first_pair(M, bad, lambda E, x, y: (E[x, y], E[x, 0] - E[y, 0]))
+
+
+# The base flags of classify that take O(n^2) work, each mapped to a test
+# that returns the first failing pair, or None when the flag holds. The one
+# other base flag, prequad_t, is the type-t check_prequadrangle verdict.
+BASE_FLAGS = {
+    "symmetric": _symmetric,
+    "nonnegative": _nonnegative,
+    "zero_diagonal": _zero_diagonal,
+    "identity_of_indiscernibles": _identity_of_indiscernibles,
+    "zero_protometric": _zero_protometric,
+    "potential_difference": _potential_difference,
+}
+
+# Each derived flag is the AND of these base flags, listed so that the
+# n^3 scan behind prequad_t comes last.
+DERIVED_FLAGS = {
+    "difference_protometric": ("zero_diagonal", "prequad_t"),
+    "quasi_semi_metric": ("zero_diagonal", "nonnegative", "prequad_t"),
+    "semi_metric": ("zero_diagonal", "nonnegative", "symmetric", "prequad_t"),
+    "metric": (
+        "zero_diagonal",
+        "nonnegative",
+        "symmetric",
+        "identity_of_indiscernibles",
+        "prequad_t",
+    ),
+}

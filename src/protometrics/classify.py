@@ -8,16 +8,16 @@ from typing import Mapping
 import numpy as np
 
 from .checks import (
+    BASE_FLAGS,
     DEFAULT_WITNESS_CAP,
+    DERIVED_FLAGS,
     PropertyVerdict,
     Status,
     check_prequadrangle,
     check_strict,
     check_triangle,
 )
-from .errors import PreconditionError
 from .matrix import DEFAULT_TOLERANCE, InequalityType, LabeledMatrix, ToleranceConfig
-from .transforms import potential_of
 
 __all__ = ["REPORT_FLAGS", "ClassificationReport", "classify"]
 
@@ -100,17 +100,6 @@ def classify(
     change when rows and columns are permuted together, and witnesses are
     permuted accordingly.
     """
-    E = M.entries
-    n = M.n
-    diag = np.diagonal(E)
-
-    symmetric = float(np.abs(E - E.T).max()) <= tol.eps_eq
-    nonnegative = float(E.min()) >= -tol.eps_ineq
-    zero_diagonal = float(np.abs(diag).max()) <= tol.eps_eq
-    off = ~np.eye(n, dtype=bool)
-    offdiag_distinct = bool((np.abs(E[off]) > tol.eps_strict).all()) if n > 1 else True
-    identity_of_indiscernibles = zero_diagonal and offdiag_distinct
-
     triangle = {
         ty: check_triangle(M, ty, tol, max_witnesses=max_witnesses) for ty in InequalityType
     }
@@ -120,53 +109,18 @@ def classify(
     }
     strictness = check_strict(M, InequalityType.TRANSITIVE, tol, max_witnesses=max_witnesses)
 
-    t_ok = {ty: triangle[ty].status is Status.PASS for ty in InequalityType}
-    q_ok = {ty: prequad[ty].status is Status.PASS for ty in InequalityType}
+    def passed(verdicts, kind):
+        return {f"{kind}_{ty.value}": v.status is Status.PASS for ty, v in verdicts.items()}
 
-    prequad_t = q_ok[InequalityType.TRANSITIVE]
-    strict_protometric = prequad_t and strictness.status is Status.PASS
-
-    # Degenerate-pair equality: p(x,y) + p(y,x) - p(x,x) - p(y,y) identically 0.
-    q = (E + E.T) - (diag[:, None] + diag[None, :])
-    zero_protometric = float(np.abs(q).max()) <= tol.eps_eq
-
-    difference_protometric = prequad_t and zero_diagonal
-    quasi_semi_metric = difference_protometric and nonnegative
-    semi_metric = quasi_semi_metric and symmetric
-    metric = semi_metric and identity_of_indiscernibles
-
-    try:
-        potential_of(M, tol)
-        potential_difference = True
-    except PreconditionError:
-        potential_difference = False
-
-    symmetric_protometric = all(q_ok.values())
-    weak_partial_pseudo_metric = symmetric_protometric and float(diag.min()) >= -tol.eps_ineq
-
+    flags = {**passed(triangle, "triangle"), **passed(prequad, "prequad")}
+    flags.update({name: test(M, tol) is None for name, test in BASE_FLAGS.items()})
+    for name, parts in DERIVED_FLAGS.items():
+        flags[name] = all(flags[p] for p in parts)
+    flags["strict_protometric"] = flags["prequad_t"] and strictness.status is Status.PASS
+    flags["symmetric_protometric"] = all(v.status is Status.PASS for v in prequad.values())
+    flags["weak_partial_pseudo_metric"] = (
+        flags["symmetric_protometric"] and float(np.diagonal(M.entries).min()) >= -tol.eps_ineq
+    )
     return ClassificationReport(
-        symmetric=symmetric,
-        nonnegative=nonnegative,
-        zero_diagonal=zero_diagonal,
-        identity_of_indiscernibles=identity_of_indiscernibles,
-        triangle_o=t_ok[InequalityType.OUTGOING],
-        triangle_i=t_ok[InequalityType.INCOMING],
-        triangle_t=t_ok[InequalityType.TRANSITIVE],
-        triangle_c=t_ok[InequalityType.CYCLIC],
-        prequad_o=q_ok[InequalityType.OUTGOING],
-        prequad_i=q_ok[InequalityType.INCOMING],
-        prequad_t=prequad_t,
-        prequad_c=q_ok[InequalityType.CYCLIC],
-        strict_protometric=strict_protometric,
-        zero_protometric=zero_protometric,
-        difference_protometric=difference_protometric,
-        quasi_semi_metric=quasi_semi_metric,
-        semi_metric=semi_metric,
-        metric=metric,
-        potential_difference=potential_difference,
-        symmetric_protometric=symmetric_protometric,
-        weak_partial_pseudo_metric=weak_partial_pseudo_metric,
-        triangle=triangle,
-        prequadrangle=prequad,
-        strictness=strictness,
+        **flags, triangle=triangle, prequadrangle=prequad, strictness=strictness
     )

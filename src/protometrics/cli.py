@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 from .checks import (
     DEFAULT_WITNESS_CAP,
-    PropertyVerdict,
     Status,
     check_prequadrangle,
     check_strict,
@@ -24,7 +24,7 @@ from .checks import (
     check_triangle,
 )
 from .classify import classify
-from .errors import InputError, ParseError, PreconditionError
+from .errors import InputError, PreconditionError
 from .generators import (
     GenSpec,
     gen_metric,
@@ -34,51 +34,17 @@ from .generators import (
 )
 from .io import (
     MatrixFormat,
-    _verdict_obj,
+    decomposition_obj,
     detect_format,
+    parse_decomposition,
     parse_gauge_csv,
     parse_matrix,
     serialize_matrix,
     serialize_report,
+    serialize_verdict,
 )
 from .matrix import InequalityType, LabeledMatrix, ToleranceConfig
 from . import transforms
-
-TRANSFORM_OPS = (
-    "transpose",
-    "gauge",
-    "add",
-    "metrize",
-    "compose",
-    "decompose",
-    "zerocoords",
-    "potential",
-    "preorder",
-    "gromov",
-    "farris",
-    "minfarris",
-    "log",
-)
-
-# Optional flags each transform op consumes; anything else provided is a
-# usage error, and missing entries from _REQUIRED_FLAGS exit 2 by name.
-_USED_FLAGS = {
-    "gauge": {"alpha", "f_file"},
-    "metrize": {"alpha"},
-    "compose": {"f_file"},
-    "add": {"other"},
-    "gromov": {"base_label"},
-    "minfarris": {"base_label"},
-    "farris": {"base_label", "constant"},
-}
-_REQUIRED_FLAGS = {
-    "gauge": ("alpha", "f_file"),
-    "add": ("other",),
-    "gromov": ("base_label",),
-    "minfarris": ("base_label",),
-    "farris": ("base_label", "constant"),
-}
-_OP_FLAG_NAMES = ("alpha", "f_file", "base_label", "constant", "other")
 
 
 def _read_text(path: str) -> str:
@@ -136,37 +102,33 @@ def run_classify(args: argparse.Namespace) -> int:
     return 0
 
 
+# Check selector kinds; every kind but transition takes an inequality type.
+CHECKS = {
+    "triangle": lambda M, ty, tol, cap, for_log: check_triangle(M, ty, tol, max_witnesses=cap),
+    "prequad": lambda M, ty, tol, cap, for_log: check_prequadrangle(
+        M, ty, tol, max_witnesses=cap
+    ),
+    "strict": lambda M, ty, tol, cap, for_log: check_strict(M, ty, tol, max_witnesses=cap),
+    "transition": lambda M, ty, tol, cap, for_log: check_transition(
+        M, tol, for_log_transform=for_log, max_witnesses=cap
+    ),
+}
+
+
 def _parse_selector(selector: str) -> tuple[str, InequalityType | None]:
     kind, sep, rest = selector.partition(":")
-    if kind in ("triangle", "prequad", "strict"):
-        if not rest:
-            raise InputError(f"selector {selector!r} needs a type, like {kind}:t")
-        return kind, InequalityType.parse(rest)
+    if kind not in CHECKS:
+        raise InputError(
+            f"unknown property selector {selector!r}; expected triangle:TYPE, "
+            "prequad:TYPE, strict:TYPE, or transition"
+        )
     if kind == "transition":
         if sep:
             raise InputError("the transition selector does not take a type")
         return kind, None
-    raise InputError(
-        f"unknown property selector {selector!r}; expected triangle:TYPE, "
-        "prequad:TYPE, strict:TYPE, or transition"
-    )
-
-
-def _render_verdict(selector: str, verdict: PropertyVerdict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(_verdict_obj(verdict)) + "\n"
-    slack = "n/a" if verdict.min_slack is None else repr(verdict.min_slack)
-    lines = [
-        f"{selector}: {verdict.status.value} min_slack={slack} "
-        f"violations={verdict.count_violations}/{verdict.count_checked}"
-    ]
-    if verdict.witnesses:
-        w = verdict.witnesses[0]
-        lines.append(
-            f"witness: x={w.x} y={w.y} z={w.z} "
-            f"lhs={w.lhs!r} rhs={w.rhs!r} deficit={w.deficit!r}"
-        )
-    return "\n".join(lines) + "\n"
+    if not rest:
+        raise InputError(f"selector {selector!r} needs a type, like {kind}:t")
+    return kind, InequalityType.parse(rest)
 
 
 def run_check(args: argparse.Namespace) -> int:
@@ -177,126 +139,117 @@ def run_check(args: argparse.Namespace) -> int:
     tol = _tolerance(args)
     cap = _witness_cap(args)
     M = parse_matrix(_read_text(args.input))
-    if kind == "triangle":
-        verdict = check_triangle(M, ty, tol, max_witnesses=cap)
-    elif kind == "prequad":
-        verdict = check_prequadrangle(M, ty, tol, max_witnesses=cap)
-    elif kind == "strict":
-        verdict = check_strict(M, ty, tol, max_witnesses=cap)
-    else:
-        verdict = check_transition(
-            M, tol, for_log_transform=args.for_log, max_witnesses=cap
-        )
-    _write_text(args.output, _render_verdict(args.selector, verdict, fmt))
+    verdict = CHECKS[kind](M, ty, tol, cap, args.for_log)
+    _write_text(args.output, serialize_verdict(args.selector, verdict, fmt))
     return 1 if verdict.status is Status.FAIL else 0
 
 
-def _matrix_from_json_obj(obj: object) -> LabeledMatrix:
-    # Re-serialize and reuse the JSON matrix parser so both paths share
-    # identical validation and error wording.
-    return parse_matrix(json.dumps(obj), MatrixFormat.JSON)
+@dataclass(frozen=True)
+class _Transform:
+    """One transform op.
+
+    run(source, args, tol) returns a matrix, a JSON object or a bare number;
+    source is the parsed input matrix, or the input text when reads_text is
+    set. The op takes the flags in required and optional, and exits 2 when
+    one in required is missing or another op's flag is given.
+    """
+
+    run: Callable[[object, argparse.Namespace, ToleranceConfig], object]
+    required: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
+    reads_text: bool = False
 
 
-def _gauge_from_json_obj(obj: object) -> dict[str, float]:
-    if not isinstance(obj, dict):
-        raise ParseError("decomposition field 'f' must be an object of label: value")
-    out: dict[str, float] = {}
-    for label, v in obj.items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ParseError(f"gauge value for {label!r} must be a finite number, got {v!r}")
-        out[label] = float(v)
-    return out
+def _compose(text: str, args: argparse.Namespace, tol: ToleranceConfig) -> LabeledMatrix:
+    """Compose from a decomposition object, or from a matrix plus --f-file."""
+    dec = parse_decomposition(text)
+    if dec is None:
+        if args.f_file is None:
+            raise InputError("transform compose requires --f-file when the input is a matrix")
+        f = parse_gauge_csv(_read_text(args.f_file))
+        dec = transforms.Decomposition(d=parse_matrix(text), f=f)
+    return transforms.compose(dec.d, dec.f, tol)
 
 
-def _compose_input(text: str, args: argparse.Namespace, tol: ToleranceConfig) -> LabeledMatrix:
-    """Compose from a matrix plus --f-file, or from a decomposition object."""
-    if detect_format(text) is MatrixFormat.JSON:
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"invalid JSON: {e.msg}", row=e.lineno, col=e.colno) from None
-        if isinstance(doc, dict) and "d" in doc and "f" in doc:
-            d = _matrix_from_json_obj(doc["d"])
-            f = _gauge_from_json_obj(doc["f"])
-            return transforms.compose(d, f, tol)
-    if args.f_file is None:
-        raise InputError("transform compose requires --f-file when the input is a matrix")
-    d = parse_matrix(text)
-    f = parse_gauge_csv(_read_text(args.f_file))
-    return transforms.compose(d, f, tol)
+def _preorder(M: LabeledMatrix, args: argparse.Namespace, tol: ToleranceConfig) -> dict:
+    pre = transforms.specialization_preorder(M, tol)
+    return {"relation": pre.relation, "classes": pre.classes, "order": pre.quotient_order}
+
+
+TRANSFORMS = {
+    "transpose": _Transform(lambda M, args, tol: transforms.transpose(M)),
+    "gauge": _Transform(
+        lambda M, args, tol: transforms.affine_gauge(
+            M, args.alpha, parse_gauge_csv(_read_text(args.f_file))
+        ),
+        required=("alpha", "f_file"),
+    ),
+    "add": _Transform(
+        lambda M, args, tol: transforms.add(M, parse_matrix(_read_text(args.other))),
+        required=("other",),
+    ),
+    "metrize": _Transform(
+        lambda M, args, tol: transforms.metrize(M, 1.0 if args.alpha is None else args.alpha, tol),
+        optional=("alpha",),
+    ),
+    "compose": _Transform(_compose, optional=("f_file",), reads_text=True),
+    "decompose": _Transform(lambda M, args, tol: decomposition_obj(transforms.decompose(M, tol))),
+    "zerocoords": _Transform(lambda M, args, tol: asdict(transforms.zero_coordinates(M, tol))),
+    "potential": _Transform(
+        lambda M, args, tol: {"h": transforms.potential_of(M, tol), "ref": M.labels[0]}
+    ),
+    "preorder": _Transform(_preorder),
+    "gromov": _Transform(
+        lambda M, args, tol: transforms.gromov_product(M, args.base_label, tol),
+        required=("base_label",),
+    ),
+    "farris": _Transform(
+        lambda M, args, tol: transforms.farris_transform(M, args.base_label, args.constant, tol),
+        required=("base_label", "constant"),
+    ),
+    "minfarris": _Transform(
+        lambda M, args, tol: transforms.min_farris_constant(M, args.base_label, tol),
+        required=("base_label",),
+    ),
+    "log": _Transform(lambda M, args, tol: transforms.log_transform(M)),
+}
 
 
 def run_transform(args: argparse.Namespace) -> int:
     op = args.op
-    provided = {n for n in _OP_FLAG_NAMES if getattr(args, n) is not None}
-    stray = sorted(provided - _USED_FLAGS.get(op, set()))
+    spec = TRANSFORMS[op]
+    takes = spec.required + spec.optional
+    op_flags = {name for t in TRANSFORMS.values() for name in t.required + t.optional}
+    stray = sorted(n for n in op_flags if n not in takes and getattr(args, n) is not None)
     if stray:
         raise InputError(f"transform {op} does not take --{stray[0].replace('_', '-')}")
-    for name in _REQUIRED_FLAGS.get(op, ()):
+    for name in spec.required:
         if getattr(args, name) is None:
             raise InputError(f"transform {op} requires --{name.replace('_', '-')}")
     tol = _tolerance(args)
     text = _read_text(args.input)
     in_format = detect_format(text)
-
-    out_matrix: LabeledMatrix | None = None
-    out_obj: object = None
-    if op == "compose":
-        out_matrix = _compose_input(text, args, tol)
-    else:
-        M = parse_matrix(text, in_format)
-        if op == "transpose":
-            out_matrix = transforms.transpose(M)
-        elif op == "gauge":
-            f = parse_gauge_csv(_read_text(args.f_file))
-            out_matrix = transforms.affine_gauge(M, args.alpha, f)
-        elif op == "add":
-            out_matrix = transforms.add(M, parse_matrix(_read_text(args.other)))
-        elif op == "metrize":
-            alpha = 1.0 if args.alpha is None else args.alpha
-            out_matrix = transforms.metrize(M, alpha, tol)
-        elif op == "decompose":
-            dec = transforms.decompose(M, tol)
-            out_obj = {
-                "d": {
-                    "labels": list(dec.d.labels),
-                    "matrix": [[float(v) for v in row] for row in dec.d.entries],
-                },
-                "f": {l: float(v) for l, v in dec.f.items()},
-            }
-        elif op == "zerocoords":
-            zc = transforms.zero_coordinates(M, tol)
-            out_obj = {"a": zc.a, "b": zc.b, "ref": zc.ref}
-        elif op == "potential":
-            out_obj = {"h": transforms.potential_of(M, tol), "ref": M.labels[0]}
-        elif op == "preorder":
-            pre = transforms.specialization_preorder(M, tol)
-            out_obj = {
-                "relation": [list(p) for p in pre.relation],
-                "classes": [list(c) for c in pre.classes],
-                "order": [list(p) for p in pre.quotient_order],
-            }
-        elif op == "gromov":
-            out_matrix = transforms.gromov_product(M, args.base_label, tol)
-        elif op == "farris":
-            out_matrix = transforms.farris_transform(M, args.base_label, args.constant, tol)
-        elif op == "minfarris":
-            c = transforms.min_farris_constant(M, args.base_label, tol)
-            if args.format == "csv":
-                raise InputError("minfarris writes a bare number; use json or text")
-            _write_text(args.output, repr(c) + "\n")
-            return 0
-        else:
-            out_matrix = transforms.log_transform(M)
-
-    if out_matrix is not None:
-        fmt = _matrix_format(args, in_format)
-        _write_text(args.output, serialize_matrix(out_matrix, fmt))
-    else:
+    out = spec.run(text if spec.reads_text else parse_matrix(text, in_format), args, tol)
+    if isinstance(out, float):
+        if args.format == "csv":
+            raise InputError(f"{op} writes a bare number; use json or text")
+        text = repr(out) + "\n"
+    elif isinstance(out, dict):
         if args.format not in (None, "json"):
             raise InputError(f"transform {op} output is always JSON")
-        _write_text(args.output, json.dumps(out_obj) + "\n")
+        text = json.dumps(out) + "\n"
+    else:
+        text = serialize_matrix(out, _matrix_format(args, in_format))
+    _write_text(args.output, text)
     return 0
+
+
+GENERATORS = {
+    "metric": lambda spec, args: gen_metric(spec),
+    "qsm": lambda spec, args: gen_quasi_semi_metric(spec),
+    "protometric": lambda spec, args: gen_protometric(spec, args.type or "t", strict=args.strict),
+    "zeroproto": lambda spec, args: gen_zero_protometric(spec),
+}
 
 
 def run_generate(args: argparse.Namespace) -> int:
@@ -305,17 +258,8 @@ def run_generate(args: argparse.Namespace) -> int:
         raise InputError("--type only applies to generate protometric")
     if args.strict and kind != "protometric":
         raise InputError("--strict only applies to generate protometric")
-    fmt = MatrixFormat.CSV if args.format is None else _matrix_format(args, MatrixFormat.CSV)
-    spec = GenSpec(n=args.n, seed=args.seed, scale=args.scale)
-    if kind == "metric":
-        M = gen_metric(spec)
-    elif kind == "qsm":
-        M = gen_quasi_semi_metric(spec)
-    elif kind == "protometric":
-        ty = InequalityType.parse(args.type) if args.type else InequalityType.TRANSITIVE
-        M = gen_protometric(spec, ty, strict=args.strict)
-    else:
-        M = gen_zero_protometric(spec)
+    fmt = _matrix_format(args, MatrixFormat.CSV)
+    M = GENERATORS[kind](GenSpec(n=args.n, seed=args.seed, scale=args.scale), args)
     _write_text(args.output, serialize_matrix(M, fmt))
     return 0
 
@@ -368,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_check)
 
     p = sub.add_parser("transform", help="apply one matrix transformation")
-    p.add_argument("op", choices=TRANSFORM_OPS)
+    p.add_argument("op", choices=tuple(TRANSFORMS))
     p.add_argument("--alpha", type=float, default=None,
                    help="positive scale factor (gauge; optional for metrize, default 1)")
     p.add_argument("--f-file", default=None, metavar="PATH",
@@ -384,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=run_transform)
 
     p = sub.add_parser("generate", help="emit a seeded random instance")
-    p.add_argument("kind", choices=("metric", "qsm", "protometric", "zeroproto"))
+    p.add_argument("kind", choices=tuple(GENERATORS))
     p.add_argument("--n", type=int, required=True, help="number of points (>= 1)")
     p.add_argument("--seed", type=int, default=0, help="64-bit stream seed (default 0)")
     p.add_argument("--scale", type=float, default=10.0,

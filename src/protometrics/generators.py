@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import Status, check_prequadrangle
+from .checks import _lhs_slab, check_prequadrangle, first_violation
 from .errors import InputError, PreconditionError
 from .matrix import (
     DEFAULT_TOLERANCE,
@@ -100,10 +100,7 @@ def shortest_path_closure(M: LabeledMatrix) -> LabeledMatrix:
     type-t triangle inequality exactly, because every output is a min of
     sums of inputs.
     """
-    E = np.array(M.entries, copy=True)
-    for k in range(M.n):
-        np.minimum(E, E[:, k, None] + E[None, k, :], out=E)
-    return LabeledMatrix(M.labels, E)
+    return LabeledMatrix(M.labels, _closure(M.entries))
 
 
 def _closure(E: np.ndarray) -> np.ndarray:
@@ -114,30 +111,19 @@ def _closure(E: np.ndarray) -> np.ndarray:
     return out
 
 
-def _symmetric_closed(rng: SplitMix64, n: int, scale: float) -> np.ndarray:
-    """Zero diagonal, symmetric uniform (0, scale] edges, min-plus closed."""
+def _closed(rng: SplitMix64, n: int, scale: float, symmetric: bool) -> np.ndarray:
+    """Zero diagonal, uniform (0, scale] edges, min-plus closed.
+
+    Draws one edge per unordered pair (upper triangle row by row, mirrored)
+    when symmetric, else one per ordered pair, row by row.
+    """
+    pairs = [(i, j) for i in range(n) for j in range(n) if (i < j if symmetric else i != j)]
     for _ in range(1000):
         E = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                E[i, j] = E[j, i] = rng.unit_pos() * scale
-        E = _closure(E)
-        if n == 1:
-            return E
-        off = ~np.eye(n, dtype=bool)
-        if float(E[off].min()) > DEFAULT_TOLERANCE.eps_strict:
-            return E
-    raise InputError(f"scale {scale!r} is too small to keep distances away from zero")
-
-
-def _directed_closed(rng: SplitMix64, n: int, scale: float) -> np.ndarray:
-    """Zero diagonal, independent uniform (0, scale] edges both ways, closed."""
-    for _ in range(1000):
-        E = np.zeros((n, n))
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    E[i, j] = rng.unit_pos() * scale
+        for i, j in pairs:
+            E[i, j] = rng.unit_pos() * scale
+        if symmetric:
+            E = E + E.T  # the lower triangle is zero, so this mirrors exactly
         E = _closure(E)
         if n == 1:
             return E
@@ -156,7 +142,7 @@ def gen_metric(spec: GenSpec) -> LabeledMatrix:
     scale, where the grid quantum is about 1e-5).
     """
     rng = SplitMix64(spec.seed)
-    return LabeledMatrix(auto_labels(spec.n), _symmetric_closed(rng, spec.n, spec.scale))
+    return LabeledMatrix(auto_labels(spec.n), _closed(rng, spec.n, spec.scale, symmetric=True))
 
 
 def gen_quasi_semi_metric(spec: GenSpec) -> LabeledMatrix:
@@ -165,7 +151,7 @@ def gen_quasi_semi_metric(spec: GenSpec) -> LabeledMatrix:
     Draw order: all ordered pairs row by row, then the directed closure.
     """
     rng = SplitMix64(spec.seed)
-    return LabeledMatrix(auto_labels(spec.n), _directed_closed(rng, spec.n, spec.scale))
+    return LabeledMatrix(auto_labels(spec.n), _closed(rng, spec.n, spec.scale, symmetric=False))
 
 
 def gen_protometric(
@@ -189,10 +175,7 @@ def gen_protometric(
     rng = SplitMix64(spec.seed)
     n = spec.n
     m = n if strict else max(1, (n + 1) // 2)
-    if ty is InequalityType.TRANSITIVE:
-        base = _directed_closed(rng, m, spec.scale)
-    else:
-        base = _symmetric_closed(rng, m, spec.scale)
+    base = _closed(rng, m, spec.scale, symmetric=ty is not InequalityType.TRANSITIVE)
     if m == n:
         sigma = list(range(n))
     else:
@@ -258,9 +241,8 @@ def perturb_violation(
         )
     if M.n < 2:
         raise InputError("perturbation needs at least two points")
-    verdict = check_prequadrangle(M, ty, tol, max_witnesses=1)
-    if verdict.status is not Status.PASS:
-        w = verdict.witnesses[0]
+    w = first_violation(check_prequadrangle(M, ty, tol, max_witnesses=1))
+    if w is not None:
         raise PreconditionError(
             f"matrix already fails the type-{ty.value} pre-quadrangle check at "
             f"(x={w.x!r}, y={w.y!r}, z={w.z!r})",
@@ -271,17 +253,7 @@ def perturb_violation(
     best = None
     best_key = None  # (slack, target-is-diagonal); first row-major wins ties
     for x in range(n):
-        row = E[x, :]
-        col = E[:, x]
-        if ty is InequalityType.OUTGOING:
-            lhs = row[:, None] + row[None, :]
-        elif ty is InequalityType.INCOMING:
-            lhs = col[:, None] + col[None, :]
-        elif ty is InequalityType.TRANSITIVE:
-            lhs = col[:, None] + row[None, :]
-        else:
-            lhs = row[:, None] + col[None, :]
-        slack = (lhs - E) - E[x, x]
+        slack = (_lhs_slab(E, x, ty) - E) - E[x, x]
         for y in range(n):
             for z in range(n):
                 if not _bump_breaks_check(ty, x, y, z):

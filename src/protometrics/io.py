@@ -15,21 +15,23 @@ import enum
 import io as _io
 import json
 import math
-from dataclasses import dataclass
 
 from .classify import REPORT_FLAGS, ClassificationReport
 from .checks import PropertyVerdict
 from .errors import InputError, InvalidMatrixError, ParseError
 from .matrix import LabeledMatrix, auto_labels
+from .transforms import Decomposition
 
 __all__ = [
-    "MatrixDocument",
     "MatrixFormat",
+    "decomposition_obj",
     "detect_format",
+    "parse_decomposition",
     "parse_gauge_csv",
     "parse_matrix",
     "serialize_matrix",
     "serialize_report",
+    "serialize_verdict",
 ]
 
 
@@ -49,21 +51,6 @@ def detect_format(text: str) -> MatrixFormat:
     """Sniff the format: a document starting with '{' is JSON, else CSV."""
     stripped = text.lstrip()
     return MatrixFormat.JSON if stripped.startswith("{") else MatrixFormat.CSV
-
-
-@dataclass(frozen=True)
-class MatrixDocument:
-    """A textual matrix encoding together with its format."""
-
-    format: MatrixFormat
-    payload: str
-
-    @classmethod
-    def from_text(cls, text: str, format: MatrixFormat | None = None) -> "MatrixDocument":
-        return cls(format=format or detect_format(text), payload=text)
-
-    def parse(self) -> LabeledMatrix:
-        return parse_matrix(self.payload, self.format)
 
 
 def _parse_cell(cell: str, row: int, col: int) -> float:
@@ -128,11 +115,15 @@ def _reject_constant(token: str) -> float:
     raise ParseError(f"non-finite value {token!r} in JSON input")
 
 
-def _parse_json(text: str) -> LabeledMatrix:
+def _load_json(text: str) -> object:
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", row=e.lineno, col=e.colno) from None
+
+
+def _matrix_from_obj(doc: object) -> LabeledMatrix:
+    """The matrix of a decoded JSON matrix object, {"labels": [...], "matrix": [[...]]}."""
     if not isinstance(doc, dict):
         raise ParseError("JSON input must be an object with a 'matrix' key")
     if "matrix" not in doc:
@@ -183,7 +174,11 @@ def parse_matrix(text: str, format: MatrixFormat | str | None = None) -> Labeled
         raise ParseError("empty input")
     if format is MatrixFormat.CSV:
         return _parse_csv(text)
-    return _parse_json(text)
+    return _matrix_from_obj(_load_json(text))
+
+
+def _matrix_obj(M: LabeledMatrix) -> dict:
+    return {"labels": list(M.labels), "matrix": [[float(v) for v in row] for row in M.entries]}
 
 
 def _format_value(v: float) -> str:
@@ -195,12 +190,7 @@ def serialize_matrix(M: LabeledMatrix, format: MatrixFormat | str = MatrixFormat
     if isinstance(format, str):
         format = MatrixFormat.parse(format)
     if format is MatrixFormat.JSON:
-        return json.dumps(
-            {
-                "labels": list(M.labels),
-                "matrix": [[float(v) for v in row] for row in M.entries],
-            }
-        ) + "\n"
+        return json.dumps(_matrix_obj(M)) + "\n"
     for l in M.labels:
         if any(c in l for c in ",\r\n\""):
             raise InputError(
@@ -230,6 +220,24 @@ def _verdict_obj(v: PropertyVerdict) -> dict:
             for w in v.witnesses
         ],
     }
+
+
+def serialize_verdict(selector: str, verdict: PropertyVerdict, format: str) -> str:
+    """Render one check verdict as JSON or as a text line plus its first witness."""
+    if format == "json":
+        return json.dumps(_verdict_obj(verdict)) + "\n"
+    slack = "n/a" if verdict.min_slack is None else repr(verdict.min_slack)
+    lines = [
+        f"{selector}: {verdict.status.value} min_slack={slack} "
+        f"violations={verdict.count_violations}/{verdict.count_checked}"
+    ]
+    if verdict.witnesses:
+        w = verdict.witnesses[0]
+        lines.append(
+            f"witness: x={w.x} y={w.y} z={w.z} "
+            f"lhs={w.lhs!r} rhs={w.rhs!r} deficit={w.deficit!r}"
+        )
+    return "\n".join(lines) + "\n"
 
 
 def serialize_report(report: ClassificationReport, format: str = "json") -> str:
@@ -280,3 +288,29 @@ def parse_gauge_csv(text: str) -> dict[str, float]:
             raise ParseError(f"duplicate label {label!r}", row=i + 1, col=1)
         out[label] = _parse_cell(cell, i + 1, 2)
     return out
+
+
+def decomposition_obj(dec: Decomposition) -> dict:
+    """The JSON object of a decomposition: {"d": matrix object, "f": {label: value}}."""
+    return {"d": _matrix_obj(dec.d), "f": {l: float(v) for l, v in dec.f.items()}}
+
+
+def parse_decomposition(text: str) -> Decomposition | None:
+    """Parse a decomposition object as decomposition_obj writes it.
+
+    Returns None when the text is not a JSON object with both "d" and "f" keys.
+    """
+    if detect_format(text) is not MatrixFormat.JSON:
+        return None
+    doc = _load_json(text)
+    if not (isinstance(doc, dict) and "d" in doc and "f" in doc):
+        return None
+    d = _matrix_from_obj(doc["d"])
+    if not isinstance(doc["f"], dict):
+        raise ParseError("decomposition field 'f' must be an object of label: value")
+    f = {}
+    for label, v in doc["f"].items():
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise ParseError(f"gauge value for {label!r} must be a finite number, got {v!r}")
+        f[label] = float(v)
+    return Decomposition(d=d, f=f)

@@ -9,7 +9,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .checks import Status, check_prequadrangle, check_triangle
+from .checks import (
+    BASE_FLAGS,
+    DERIVED_FLAGS,
+    check_prequadrangle,
+    degenerate_pairs,
+    first_violation,
+)
 from .errors import InputError, PreconditionError, TransitivityError
 from .matrix import DEFAULT_TOLERANCE, InequalityType, LabeledMatrix, ToleranceConfig
 
@@ -92,68 +98,24 @@ def _check_positive_factor(alpha: float) -> float:
     return alpha
 
 
-def _require_prequad_t(p: LabeledMatrix, tol: ToleranceConfig, op: str) -> None:
-    verdict = check_prequadrangle(p, InequalityType.TRANSITIVE, tol, max_witnesses=1)
-    if verdict.status is not Status.PASS:
-        w = verdict.witnesses[0]
-        raise PreconditionError(
-            f"{op} needs a protometric input, but the type-t pre-quadrangle "
-            f"inequality fails at (x={w.x!r}, y={w.y!r}, z={w.z!r}): "
-            f"lhs={w.lhs!r} < rhs={w.rhs!r}",
-            witness=w,
-        )
+def _require(M: LabeledMatrix, tol: ToleranceConfig, op: str, flag: str) -> None:
+    """Raise PreconditionError unless M has the classify flag ``flag``.
 
-
-def _require_difference_protometric(d: LabeledMatrix, tol: ToleranceConfig, op: str) -> None:
-    diag = np.diagonal(d.entries)
-    bad = np.flatnonzero(np.abs(diag) > tol.eps_eq)
-    if bad.size:
-        l = d.labels[int(bad[0])]
-        raise PreconditionError(
-            f"{op} needs a zero-diagonal input, but d({l!r},{l!r}) = {d.entry(l, l)!r}"
-        )
-    verdict = check_triangle(d, InequalityType.TRANSITIVE, tol, max_witnesses=1)
-    if verdict.status is not Status.PASS:
-        w = verdict.witnesses[0]
-        raise PreconditionError(
-            f"{op} needs the type-t triangle inequality, which fails at "
-            f"(x={w.x!r}, y={w.y!r}, z={w.z!r}): lhs={w.lhs!r} < rhs={w.rhs!r}",
-            witness=w,
-        )
-
-
-def _require_metric(d: LabeledMatrix, tol: ToleranceConfig, op: str) -> None:
-    E = d.entries
-    n = d.n
-    asym = np.abs(E - E.T)
-    if float(asym.max()) > tol.eps_eq:
-        i, j = map(int, np.unravel_index(np.argmax(asym), asym.shape))
-        raise PreconditionError(
-            f"{op} needs a metric, but d is not symmetric: "
-            f"d({d.labels[i]!r},{d.labels[j]!r}) != d({d.labels[j]!r},{d.labels[i]!r})"
-        )
-    diag = np.diagonal(E)
-    if float(np.abs(diag).max()) > tol.eps_eq:
-        i = int(np.argmax(np.abs(diag)))
-        raise PreconditionError(
-            f"{op} needs a metric, but the diagonal is nonzero at {d.labels[i]!r}"
-        )
-    if n > 1:
-        off = ~np.eye(n, dtype=bool)
-        if float(E[off].min()) <= tol.eps_strict:
-            i, j = map(int, np.argwhere(off & (E <= tol.eps_strict))[0])
+    The error names op, the first failing base flag and its witness. The
+    O(n^2) base flags are tested before the one n^3 scan, prequad_t.
+    """
+    for base in DERIVED_FLAGS.get(flag, (flag,)):
+        if base in BASE_FLAGS:
+            w = BASE_FLAGS[base](M, tol)
+        else:
+            verdict = check_prequadrangle(M, InequalityType.TRANSITIVE, tol, max_witnesses=1)
+            w = first_violation(verdict)
+        if w is not None:
             raise PreconditionError(
-                f"{op} needs distinct points at positive distance, but "
-                f"d({d.labels[i]!r},{d.labels[j]!r}) = {float(E[i, j])!r}"
+                f"{op} needs {flag}, but {base} fails at "
+                f"(x={w.x!r}, y={w.y!r}, z={w.z!r}): lhs={w.lhs!r}, rhs={w.rhs!r}",
+                witness=w,
             )
-    verdict = check_triangle(d, InequalityType.TRANSITIVE, tol, max_witnesses=1)
-    if verdict.status is not Status.PASS:
-        w = verdict.witnesses[0]
-        raise PreconditionError(
-            f"{op} needs a metric, but the triangle inequality fails at "
-            f"(x={w.x!r}, y={w.y!r}, z={w.z!r}): lhs={w.lhs!r} < rhs={w.rhs!r}",
-            witness=w,
-        )
 
 
 def transpose(M: LabeledMatrix) -> LabeledMatrix:
@@ -195,12 +157,8 @@ def metrize(
     protometrics produce a metric.
     """
     alpha = _check_positive_factor(alpha)
-    _require_prequad_t(p, tol, "metrize")
-    E = p.entries
-    diag = np.diagonal(E)
-    sym = E + E.T
-    gauge = diag[:, None] + diag[None, :]
-    return LabeledMatrix(p.labels, alpha * (sym - gauge))
+    _require(p, tol, "metrize", "prequad_t")
+    return LabeledMatrix(p.labels, alpha * degenerate_pairs(p.entries))
 
 
 def compose(
@@ -210,10 +168,11 @@ def compose(
 ) -> LabeledMatrix:
     """Build the protometric p(x,y) = (d(x,y) + f(x) + f(y)) / 2.
 
-    d must be a difference protometric: zero diagonal and type-t triangle.
+    d must be a difference protometric: zero diagonal and type-t
+    pre-quadrangle inequality.
     Inverse of decompose, entry for entry.
     """
-    _require_difference_protometric(d, tol, "compose")
+    _require(d, tol, "compose", "difference_protometric")
     g = _gauge_vector(d, f, "gauge f")
     return LabeledMatrix(d.labels, ((d.entries + g[:, None]) + g[None, :]) * 0.5)
 
@@ -224,7 +183,7 @@ def decompose(p: LabeledMatrix, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Dec
     d is a difference protometric and compose(d, f) rebuilds p. Inverse of
     compose, entry for entry.
     """
-    _require_prequad_t(p, tol, "decompose")
+    _require(p, tol, "decompose", "prequad_t")
     E = p.entries
     diag = np.diagonal(E)
     d = (E + E) - (diag[:, None] + diag[None, :])
@@ -244,19 +203,9 @@ def zero_coordinates(
     but the entries are not reproduced by a(x) + b(y); the error says which
     condition failed and where.
     """
+    _require(p, tol, "zero_coordinates", "zero_protometric")
     E = p.entries
     labels = p.labels
-    diag = np.diagonal(E)
-    q = (E + E.T) - (diag[:, None] + diag[None, :])
-    bad = np.abs(q) > tol.eps_eq
-    if bool(bad.any()):
-        i, j = map(int, np.argwhere(bad)[0])
-        raise PreconditionError(
-            "not a 0-protometric: "
-            f"p({labels[i]!r},{labels[j]!r}) + p({labels[j]!r},{labels[i]!r}) - "
-            f"p({labels[i]!r},{labels[i]!r}) - p({labels[j]!r},{labels[j]!r}) = "
-            f"{float(q[i, j])!r} != 0"
-        )
     a = E[:, 0]
     b = E[0, :] - E[0, 0]
     resid = np.abs(E - (a[:, None] + b[None, :]))
@@ -264,7 +213,7 @@ def zero_coordinates(
     if bool(bad.any()):
         i, j = map(int, np.argwhere(bad)[0])
         raise PreconditionError(
-            "not a 0-protometric: entries are not separable as a(x) + b(y); "
+            "zero_coordinates: entries are not separable as a(x) + b(y); "
             f"residual {float(resid[i, j])!r} at ({labels[i]!r}, {labels[j]!r})"
         )
     return ZeroCoordinates(
@@ -281,19 +230,8 @@ def potential_of(d: LabeledMatrix, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> 
     misses h(x) - h(y) by more than eps_eq; h is otherwise unique up to an
     additive constant.
     """
-    E = d.entries
-    labels = d.labels
-    h = E[:, 0]
-    resid = np.abs((E - h[:, None]) + h[None, :])
-    bad = resid > tol.eps_eq
-    if bool(bad.any()):
-        i, j = map(int, np.argwhere(bad)[0])
-        raise PreconditionError(
-            "not a potential difference: "
-            f"d({labels[i]!r},{labels[j]!r}) - h({labels[i]!r}) + h({labels[j]!r}) = "
-            f"{float(E[i, j] - h[i] + h[j])!r}"
-        )
-    return {l: float(h[i]) for i, l in enumerate(labels)}
+    _require(d, tol, "potential_of", "potential_difference")
+    return {l: float(h) for l, h in zip(d.labels, d.entries[:, 0])}
 
 
 def specialization_preorder(
@@ -303,42 +241,16 @@ def specialization_preorder(
     """Preorder x <= y iff d(x, y) ~ 0, for a quasi-semi-metric d.
 
     The relation is reflexive by the zero diagonal and transitive by the
-    type-t triangle inequality; both are re-verified on the thresholded
-    relation, and a transitivity failure (possible only when the tolerances
+    type-t pre-quadrangle inequality; transitivity is re-verified on the
+    thresholded relation, and a failure (possible only when the tolerances
     disagree with the data) raises TransitivityError. Ties in the quotient
     construction are broken by label order.
     """
     E = d.entries
     n = d.n
     labels = d.labels
-    if float(E.min()) < -tol.eps_ineq:
-        i, j = map(int, np.unravel_index(np.argmin(E), E.shape))
-        raise PreconditionError(
-            "specialization preorder needs a nonnegative matrix, but "
-            f"d({labels[i]!r},{labels[j]!r}) = {float(E[i, j])!r}"
-        )
-    diag = np.diagonal(E)
-    if float(np.abs(diag).max()) > tol.eps_eq:
-        i = int(np.argmax(np.abs(diag)))
-        raise PreconditionError(
-            f"specialization preorder needs a zero diagonal, but d({labels[i]!r},{labels[i]!r}) "
-            f"= {float(diag[i])!r}"
-        )
-    verdict = check_triangle(d, InequalityType.TRANSITIVE, tol, max_witnesses=1)
-    if verdict.status is not Status.PASS:
-        w = verdict.witnesses[0]
-        raise PreconditionError(
-            "specialization preorder needs the type-t triangle inequality, which fails at "
-            f"(x={w.x!r}, y={w.y!r}, z={w.z!r}): lhs={w.lhs!r} < rhs={w.rhs!r}",
-            witness=w,
-        )
-    rel = E <= tol.eps_eq
-    if not bool(np.diagonal(rel).all()):
-        i = int(np.flatnonzero(~np.diagonal(rel))[0])
-        raise TransitivityError(
-            f"thresholded relation is not reflexive at {labels[i]!r}; "
-            "eps_eq is inconsistent with the verified zero diagonal"
-        )
+    _require(d, tol, "specialization_preorder", "quasi_semi_metric")
+    rel = E <= tol.eps_eq  # reflexive, since |d(x,x)| <= eps_eq was verified
     reach2 = (rel.astype(np.int8) @ rel.astype(np.int8)) > 0  # two-step reachability
     broken = reach2 & ~rel
     if bool(broken.any()):
@@ -384,7 +296,7 @@ def gromov_product(
     G(x,y) = (d(x,x0) + d(y,x0) - d(x,y)) / 2. Nonnegative and symmetric,
     with G(x0, x0) = 0; -G is a symmetric protometric with entries <= 0.
     """
-    _require_metric(d, tol, "gromov product")
+    _require(d, tol, "gromov_product", "metric")
     i0 = d.index(x0)
     v = d.entries[:, i0]
     return LabeledMatrix(d.labels, ((v[:, None] + v[None, :]) - d.entries) * 0.5)

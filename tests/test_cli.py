@@ -202,7 +202,7 @@ def test_transform_metrize(cli):
     assert parse_matrix(out).entries.tolist() == [[0.0, 6.0], [6.0, 0.0]]
     code, _, err = cli(["transform", "metrize"], stdin="0,-3\n1,0\n")
     assert code == 1
-    assert "error:" in err and "protometric" in err
+    assert "error: metrize needs prequad_t, but prequad_t fails" in err
 
 
 def test_transform_stray_flag_rejected(cli):
@@ -253,7 +253,7 @@ def test_transform_zerocoords(cli):
     assert doc == {"a": {"a": 2.0, "b": 0.0}, "b": {"a": 0.0, "b": 1.0}, "ref": "a"}
     code, _, err = cli(["transform", "zerocoords"], stdin=PATH_CSV)
     assert code == 1
-    assert "0-protometric" in err
+    assert "zero_coordinates needs zero_protometric" in err
 
 
 def test_transform_potential(cli):
@@ -263,7 +263,7 @@ def test_transform_potential(cli):
     assert doc == {"h": {"x1": 0.0, "x2": 1.0, "x3": 3.0}, "ref": "x1"}
     code, _, err = cli(["transform", "potential"], stdin=PATH_CSV)
     assert code == 1
-    assert "potential difference" in err
+    assert "potential_of needs potential_difference" in err
 
 
 def test_transform_preorder(cli):
@@ -302,7 +302,7 @@ def test_transform_gromov_and_farris(cli):
     # gromov needs a metric
     code, _, err = cli(["transform", "gromov", "--base-label", "x1"], stdin="0,1\n2,0\n")
     assert code == 1
-    assert "not symmetric" in err
+    assert "gromov_product needs metric, but symmetric fails" in err
 
 
 def test_transform_minfarris(cli):

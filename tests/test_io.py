@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from protometrics import (
     InputError,
     LabeledMatrix,
-    MatrixDocument,
     MatrixFormat,
     ParseError,
     REPORT_FLAGS,
@@ -76,18 +75,12 @@ def test_parse_with_explicit_format():
     # explicit format wins over sniffing
     m = parse_matrix('{"matrix": [[0]]}', format="json")
     assert m.n == 1
+    assert parse_matrix('{"matrix": [[0]]}').n == 1  # sniffed as JSON
+    assert parse_matrix("0,1\n1,0", MatrixFormat.CSV).n == 2
     with pytest.raises(ParseError):
         parse_matrix("0,1\n1,0\n", format="json")
     with pytest.raises(InputError, match="expected csv or json"):
         parse_matrix("0", format="yaml")
-
-
-def test_matrix_document():
-    doc = MatrixDocument.from_text('{"matrix": [[0]]}')
-    assert doc.format is MatrixFormat.JSON
-    assert doc.parse().n == 1
-    forced = MatrixDocument.from_text("0,1\n1,0", MatrixFormat.CSV)
-    assert forced.parse().n == 2
 
 
 def test_parse_empty_input():
