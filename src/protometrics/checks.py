@@ -4,6 +4,18 @@ Every checker scans all n^3 ordered triples (or all n^2 ordered pairs),
 including fully degenerate ones; there are no sampling or pruning shortcuts.
 Evaluation is vectorized one x-slab at a time so memory stays O(n^2) while
 the scan order remains row-major in (x, y, z).
+
+The triangle and pre-quadrangle checks of all four types share one pass
+over x (``_scan``). Per x it writes the o, i and t sums of the left side
+into three preallocated (n, n) buffers and subtracts d(y, z) in place. The
+c slack needs no sum of its own: d(z,x) + d(x,y) - d(y,z) is entry [z, y]
+of t's sum minus the transpose of d, so it is built contiguous and read
+transposed. A pre-quadrangle slack is its triangle slack minus the scalar
+d(x, x). Rounding is monotone, so the minimum of fl(s - d(x,x)) over a slab
+is exactly fl(min s - d(x,x)), and that number also tells whether any entry
+is below -eps_ineq. The mask of violations, always built with the
+expression (s - d(x,x)) < -eps_ineq, is therefore only needed for an x that
+has one. Each witness is recomputed as scalar sums in the same order.
 """
 
 from __future__ import annotations
@@ -11,6 +23,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -78,18 +91,9 @@ class PropertyVerdict:
     count_violations: int
 
 
-def _lhs_slab(E: np.ndarray, x: int, ty: InequalityType) -> np.ndarray:
-    """Left-hand sides for all (y, z) at a fixed x, as an (n, n) array."""
-    row = E[x, :]
-    col = E[:, x]
-    if ty is InequalityType.OUTGOING:  # d(x,y) + d(x,z)
-        return row[:, None] + row[None, :]
-    if ty is InequalityType.INCOMING:  # d(y,x) + d(z,x)
-        return col[:, None] + col[None, :]
-    if ty is InequalityType.TRANSITIVE:  # d(y,x) + d(x,z)
-        return col[:, None] + row[None, :]
-    # CYCLIC: d(z,x) + d(x,y)
-    return row[:, None] + col[None, :]
+def _verdict(witnesses, min_slack: float | None, checked: int, violations: int) -> PropertyVerdict:
+    status = Status.PASS if violations == 0 else Status.FAIL
+    return PropertyVerdict(status, tuple(witnesses), min_slack, checked, violations)
 
 
 def _validate_cap(max_witnesses: int) -> None:
@@ -98,60 +102,95 @@ def _validate_cap(max_witnesses: int) -> None:
         raise InputError(f"max_witnesses must be >= 1, got {max_witnesses}")
 
 
-def _additive_check(
+_O, _I, _T, _C = InequalityType
+# The two entries summed on the left side of each inequality type at (x, y, z).
+_LHS = {
+    _O: lambda x, y, z: ((x, y), (x, z)),
+    _I: lambda x, y, z: ((y, x), (z, x)),
+    _T: lambda x, y, z: ((y, x), (x, z)),
+    _C: lambda x, y, z: ((z, x), (x, y)),
+}
+
+
+def _slabs(E: np.ndarray, types) -> Iterator[dict[InequalityType, np.ndarray]]:
+    """Triangle slacks lhs(x,y,z) - d(y,z) of each type in ``types``, one x at a time.
+
+    Yields, for x = 0, 1, ..., n-1, a dict mapping each type to its (n, n)
+    slack indexed [y, z]. The arrays are buffers that the next x overwrites.
+    """
+    n = len(E)
+    ET = np.ascontiguousarray(E.T)
+    O = np.empty((n, n)) if _O in types else None
+    I = np.empty((n, n)) if _I in types else None
+    T = np.empty((n, n)) if _T in types or _C in types else None
+    C = np.empty((n, n)) if _T in types and _C in types else T
+    for x in range(n):
+        row, col = E[x], ET[x]
+        out = {}
+        if O is not None:  # d(x,y) + d(x,z)
+            out[_O] = np.subtract(np.add(row[:, None], row, out=O), E, out=O)
+        if I is not None:  # d(y,x) + d(z,x)
+            out[_I] = np.subtract(np.add(col[:, None], col, out=I), E, out=I)
+        if T is not None:  # d(y,x) + d(x,z)
+            np.add(col[:, None], row, out=T)
+            if _C in types:  # d(z,x) + d(x,y) - d(y,z) is (T - E^T)[z, y]
+                out[_C] = np.subtract(T, ET, out=C).T
+            if _T in types:
+                out[_T] = np.subtract(T, E, out=T)
+        yield out
+
+
+def _scan(
     M: LabeledMatrix,
-    ty: InequalityType,
     tol: ToleranceConfig,
-    with_self_term: bool,
+    kinds: list[tuple[InequalityType, bool]],
     max_witnesses: int,
-) -> PropertyVerdict:
+) -> list[PropertyVerdict]:
+    """The verdict of each (type, with_self_term) pair of ``kinds``, from one pass over x.
+
+    A pair with the self term is the pre-quadrangle check of that type, one
+    without it the triangle check.
+    """
     _validate_cap(max_witnesses)
     E = M.entries
     n = M.n
     labels = M.labels
     eps = tol.eps_ineq
-    min_slack = math.inf
-    violations = 0
-    witnesses: list[ViolationWitness] = []
-    for x in range(n):
-        slack = _lhs_slab(E, x, ty) - E
-        if with_self_term:
-            slack = slack - E[x, x]
-        m = float(slack.min())
-        if m < min_slack:
-            min_slack = m
-        mask = slack < -eps
-        hits = int(mask.sum())
-        if hits == 0:
-            continue
-        violations += hits
-        if len(witnesses) >= max_witnesses:
-            continue
-        lhs = _lhs_slab(E, x, ty)
-        for y, z in np.argwhere(mask):
-            if len(witnesses) >= max_witnesses:
-                break
-            y = int(y)
-            z = int(z)
-            rhs = float(E[y, z] + E[x, x]) if with_self_term else float(E[y, z])
-            witnesses.append(
-                ViolationWitness(
-                    x=labels[x],
-                    y=labels[y],
-                    z=labels[z],
-                    lhs=float(lhs[y, z]),
-                    rhs=rhs,
-                    deficit=-float(slack[y, z]),
-                )
-            )
-    status = Status.PASS if violations == 0 else Status.FAIL
-    return PropertyVerdict(
-        status=status,
-        witnesses=tuple(witnesses),
-        min_slack=min_slack,
-        count_checked=n * n * n,
-        count_violations=violations,
-    )
+    # With a -0.0 entry, which zero a slab's min returns depends on the
+    # order it is read in, so the c slab is then read in its own order.
+    negzero = bool(np.signbit(E[E == 0]).any())
+    mins = [math.inf] * len(kinds)
+    violations = [0] * len(kinds)
+    found: list[list[ViolationWitness]] = [[] for _ in kinds]
+    for x, slacks in enumerate(_slabs(E, {ty for ty, _ in kinds})):
+        d = float(E[x, x])
+        low = {
+            ty: float((np.ascontiguousarray(s) if negzero and ty is _C else s).min())
+            for ty, s in slacks.items()
+        }
+        for k, (ty, self_term) in enumerate(kinds):
+            # Rounding is monotone, so min(fl(s - d)) = fl(min(s) - d).
+            m = low[ty] - d if self_term else low[ty]
+            if m < mins[k]:
+                mins[k] = m
+            if not m < -eps:
+                continue
+            # Subtracting a zero d(x,x) changes no comparison, so it is skipped.
+            slack = slacks[ty] - d if self_term and d else slacks[ty]
+            mask = slack < -eps
+            violations[k] += int(np.count_nonzero(mask))
+            room = max_witnesses - len(found[k])
+            if room == 0:
+                continue
+            for y, z in np.argwhere(mask)[:room].tolist():
+                p, q = _LHS[ty](x, y, z)
+                lhs = float(E[p]) + float(E[q])
+                rhs = float(E[y, z])
+                s = lhs - rhs
+                if self_term:
+                    rhs, s = rhs + d, s - d
+                found[k].append(ViolationWitness(labels[x], labels[y], labels[z], lhs, rhs, -s))
+    return [_verdict(found[k], mins[k], n**3, violations[k]) for k in range(len(kinds))]
 
 
 def check_triangle(
@@ -163,7 +202,7 @@ def check_triangle(
 ) -> PropertyVerdict:
     """Check the type-ty triangle inequality lhs(x,y,z) >= d(y,z) on all triples."""
     ty = InequalityType.parse(ty)
-    return _additive_check(M, ty, tol, with_self_term=False, max_witnesses=max_witnesses)
+    return _scan(M, tol, [(ty, False)], max_witnesses)[0]
 
 
 def check_prequadrangle(
@@ -178,7 +217,7 @@ def check_prequadrangle(
     Passing for type t is the defining property of a protometric.
     """
     ty = InequalityType.parse(ty)
-    return _additive_check(M, ty, tol, with_self_term=True, max_witnesses=max_witnesses)
+    return _scan(M, tol, [(ty, True)], max_witnesses)[0]
 
 
 def check_strict(
@@ -211,29 +250,13 @@ def check_strict(
     slack = lhs - rhs
     off = ~np.eye(n, dtype=bool)
     mask = off & (slack <= tol.eps_strict)
-    violations = int(mask.sum())
-    witnesses = []
-    for x, y in np.argwhere(mask)[:max_witnesses]:
-        x = int(x)
-        y = int(y)
-        witnesses.append(
-            ViolationWitness(
-                x=labels[x],
-                y=labels[y],
-                z=labels[y],
-                lhs=float(lhs[x, y]),
-                rhs=float(rhs[x, y]),
-                deficit=-float(slack[x, y]),
-            )
-        )
+    witnesses = [
+        ViolationWitness(labels[x], labels[y], labels[y], float(lhs[x, y]), float(rhs[x, y]),
+                         -float(slack[x, y]))
+        for x, y in np.argwhere(mask)[:max_witnesses].tolist()
+    ]
     min_slack = float(slack[off].min()) if n > 1 else None
-    return PropertyVerdict(
-        status=Status.PASS if violations == 0 else Status.FAIL,
-        witnesses=tuple(witnesses),
-        min_slack=min_slack,
-        count_checked=n * (n - 1),
-        count_violations=violations,
-    )
+    return _verdict(witnesses, min_slack, n * (n - 1), int(mask.sum()))
 
 
 def check_transition(
@@ -258,13 +281,7 @@ def check_transition(
     n = M.n
     labels = M.labels
     if for_log_transform and not bool((E > 0).all()):
-        return PropertyVerdict(
-            status=Status.NOT_APPLICABLE,
-            witnesses=(),
-            min_slack=None,
-            count_checked=0,
-            count_violations=0,
-        )
+        return PropertyVerdict(Status.NOT_APPLICABLE, (), None, 0, 0)
     eps = tol.eps_ineq
     min_slack = math.inf
     violations = 0
@@ -283,28 +300,12 @@ def check_transition(
         if hits == 0:
             continue
         violations += hits
-        for y, z in np.argwhere(mask):
-            if len(witnesses) >= max_witnesses:
-                break
-            y = int(y)
-            z = int(z)
+        for y, z in np.argwhere(mask)[: max_witnesses - len(witnesses)].tolist():
             witnesses.append(
-                ViolationWitness(
-                    x=labels[x],
-                    y=labels[y],
-                    z=labels[z],
-                    lhs=float(lhs[y, z]),
-                    rhs=float(rhs[y, z]),
-                    deficit=float(lhs[y, z] - rhs[y, z]),
-                )
+                ViolationWitness(labels[x], labels[y], labels[z], float(lhs[y, z]),
+                                 float(rhs[y, z]), float(lhs[y, z] - rhs[y, z]))
             )
-    return PropertyVerdict(
-        status=Status.PASS if violations == 0 else Status.FAIL,
-        witnesses=tuple(witnesses),
-        min_slack=min_slack,
-        count_checked=n * n * n,
-        count_violations=violations,
-    )
+    return _verdict(witnesses, min_slack, n**3, violations)
 
 
 def diagonal_bounds(

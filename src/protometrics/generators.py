@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import _lhs_slab, check_prequadrangle, first_violation
+from .checks import _slabs, check_prequadrangle, first_violation
 from .errors import InputError, PreconditionError
 from .matrix import (
     DEFAULT_TOLERANCE,
@@ -199,19 +199,6 @@ def gen_zero_protometric(spec: GenSpec) -> LabeledMatrix:
     return LabeledMatrix(labels, a[:, None] + b[None, :])
 
 
-def _bump_breaks_check(ty: InequalityType, x: int, y: int, z: int) -> bool:
-    # Raising p(y,z) must raise the right side only. The (y,z) slot collides
-    # with a left-side slot exactly in these degenerate patterns, where the
-    # inequality then holds identically and no bump can break it.
-    if ty is InequalityType.OUTGOING:
-        return y != x
-    if ty is InequalityType.INCOMING:
-        return z != x
-    if ty is InequalityType.TRANSITIVE:
-        return y != x and z != x
-    return not (x == y == z)  # CYCLIC
-
-
 def perturb_violation(
     M: LabeledMatrix,
     ty: InequalityType | str,
@@ -250,19 +237,23 @@ def perturb_violation(
         )
     E = M.entries
     n = M.n
-    best = None
-    best_key = None  # (slack, target-is-diagonal); first row-major wins ties
-    for x in range(n):
-        slack = (_lhs_slab(E, x, ty) - E) - E[x, x]
-        for y in range(n):
-            for z in range(n):
-                if not _bump_breaks_check(ty, x, y, z):
-                    continue
-                key = (float(slack[y, z]), y == z)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (float(slack[y, z]), x, y, z)
-    s, x, y, z = best
+    diagonal = np.eye(n, dtype=bool)
+    best = []  # per x: (slack, target-is-diagonal, x, y, z) of its first best triple
+    for x, slacks in enumerate(_slabs(E, {ty})):
+        slack = slacks[ty] - E[x, x]
+        # Raising p(y,z) raises the right side only, unless (y,z) is also a
+        # left-side slot; the inequality then holds identically.
+        free = np.ones((n, n), dtype=bool)
+        if ty in (InequalityType.OUTGOING, InequalityType.TRANSITIVE):
+            free[x, :] = False
+        if ty in (InequalityType.INCOMING, InequalityType.TRANSITIVE):
+            free[:, x] = False
+        free[x, x] = False
+        ties = free & (slack == slack[free].min())
+        off = ties & ~diagonal
+        y, z = divmod(int(np.argmax(off if off.any() else ties)), n)
+        best.append((float(slack[y, z]), y == z, x, y, z))
+    s, _, x, y, z = min(best)
     out = np.array(E, copy=True)
     out[y, z] += s + magnitude
     return LabeledMatrix(M.labels, out)

@@ -91,11 +91,8 @@ def _parse_csv(text: str) -> LabeledMatrix:
             if len(r) != n + 1:
                 raise ParseError(f"expected {n + 1} cells, got {len(r)}", row=i + 2)
             if r[0] != labels[i]:
-                raise ParseError(
-                    f"row label {r[0]!r} does not match header label {labels[i]!r}",
-                    row=i + 2,
-                    col=1,
-                )
+                raise ParseError(f"row label {r[0]!r} does not match header label {labels[i]!r}",
+                                 row=i + 2, col=1)
             grid.append([_parse_cell(c, i + 2, j + 2) for j, c in enumerate(r[1:])])
     else:
         labels = auto_labels(len(rows))
@@ -120,6 +117,18 @@ def _load_json(text: str) -> object:
         return json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", row=e.lineno, col=e.colno) from None
+    except ParseError:  # a NaN or Infinity token
+        raise
+    except ValueError:  # an integer past the interpreter's digit limit
+        raise ParseError("invalid JSON: an integer has too many digits") from None
+
+
+def _json_float(v: int | float, what: str, **where) -> float:
+    """float(v), with a JSON integer too large for a float reported as a ParseError."""
+    try:
+        return float(v)
+    except OverflowError:
+        raise ParseError(f"{what} is too large for a float", **where) from None
 
 
 def _matrix_from_obj(doc: object) -> LabeledMatrix:
@@ -140,9 +149,10 @@ def _matrix_from_obj(doc: object) -> LabeledMatrix:
         for j, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ParseError(f"expected a number, got {v!r}", row=i + 1, col=j + 1)
-            if not math.isfinite(v):
+            f = _json_float(v, "number", row=i + 1, col=j + 1)
+            if not math.isfinite(f):
                 raise ParseError(f"non-finite value {v!r}", row=i + 1, col=j + 1)
-            out.append(float(v))
+            out.append(f)
         grid.append(out)
     labels_field = doc.get("labels")
     if labels_field is None:
@@ -193,9 +203,7 @@ def serialize_matrix(M: LabeledMatrix, format: MatrixFormat | str = MatrixFormat
         return json.dumps(_matrix_obj(M)) + "\n"
     for l in M.labels:
         if any(c in l for c in ",\r\n\""):
-            raise InputError(
-                f"label {l!r} cannot be written as CSV; use the JSON format"
-            )
+            raise InputError(f"label {l!r} cannot be written as CSV; use the JSON format")
     lines = ["," + ",".join(M.labels)]
     for i, l in enumerate(M.labels):
         lines.append(l + "," + ",".join(_format_value(v) for v in M.entries[i]))
@@ -310,7 +318,9 @@ def parse_decomposition(text: str) -> Decomposition | None:
         raise ParseError("decomposition field 'f' must be an object of label: value")
     f = {}
     for label, v in doc["f"].items():
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-            raise ParseError(f"gauge value for {label!r} must be a finite number, got {v!r}")
+        what = f"gauge value for {label!r}"
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        if not (number and math.isfinite(_json_float(v, what))):
+            raise ParseError(f"{what} must be a finite number, got {v!r}")
         f[label] = float(v)
     return Decomposition(d=d, f=f)

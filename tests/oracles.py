@@ -31,6 +31,37 @@ def additive_scan(E, ty, prequad, eps=1e-9):
     return bad, min_slack
 
 
+# Triples whose right-side entry p(y,z) also sits on the left side, so that
+# raising it cannot break the pre-quadrangle inequality.
+FIXED = {
+    "o": lambda x, y, z: y == x,
+    "i": lambda x, y, z: z == x,
+    "t": lambda x, y, z: y == x or z == x,
+    "c": lambda x, y, z: x == y == z,
+}
+
+
+def perturb_target(E, ty):
+    """(slack, x, y, z) of the triple perturb_violation raises p(y,z) at.
+
+    The minimum pre-quadrangle slack over the triples outside FIXED; among
+    exact ties an off-diagonal target wins, then the first in row-major order.
+    """
+    n = len(E)
+    lhs = LHS[ty]
+    best = best_key = None
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if FIXED[ty](x, y, z):
+                    continue
+                slack = (lhs(E, x, y, z) - E[y][z]) - E[x][x]
+                key = (slack, y == z)
+                if best_key is None or key < best_key:
+                    best_key, best = key, (slack, x, y, z)
+    return best
+
+
 def strict_scan(E, ty, eps_strict=1e-9):
     """Pairs (x, y), x != y, where the z = y instance is not strict."""
     n = len(E)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protometrics import (
+    InequalityType,
     InputError,
     LabeledMatrix,
     Status,
@@ -13,6 +16,7 @@ from protometrics import (
     check_strict,
     check_transition,
     check_triangle,
+    classify,
     diagonal_bounds,
 )
 
@@ -262,3 +266,64 @@ def test_diagonal_bounds_match_oracle(rows, ty):
         assert iv.hi == pytest.approx(hi, abs=1e-12)
         expect = lo - 1e-9 <= E[k][k] <= hi + 1e-9
         assert member == expect
+
+
+def ulps_around(v, k=3):
+    """v and the k floats on either side of it."""
+    out, lo, hi = [v], v, v
+    for _ in range(k):
+        lo, hi = float(np.nextafter(lo, -np.inf)), float(np.nextafter(hi, np.inf))
+        out += [lo, hi]
+    return out
+
+
+@st.composite
+def boundary_cases(draw):
+    """A matrix and a tolerance whose slacks sit within a few ulps of -eps_ineq.
+
+    Entries near +-1e308 make slabs overflow to +-inf.
+    """
+    eps = draw(st.sampled_from([0.0, 1e-9, 0.5]))
+    pool = [s * v for v in ulps_around(eps) for s in (1.0, -1.0)]
+    pool += [0.0, -0.0, 1.0, -1.0, 2.0, 1e308, -1e308, 1.7e308, -1.7e308]
+    n = draw(st.integers(1, 4))
+    cell = st.one_of(st.sampled_from(pool), st.floats(-3, 3, width=16))
+    cells = draw(st.lists(cell, min_size=n * n, max_size=n * n))
+    return lm(np.array(cells).reshape(n, n)), ToleranceConfig(eps_ineq=eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(boundary_cases(), st.integers(1, 3))
+def test_classify_verdicts_equal_the_single_checks(case, cap):
+    m, tol = case
+    idx = {lab: k for k, lab in enumerate(m.labels)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = classify(m, tol, max_witnesses=cap)
+        for ty in InequalityType:
+            for got, check in ((report.triangle[ty], check_triangle),
+                               (report.prequadrangle[ty], check_prequadrangle)):
+                want = check(m, ty, tol, max_witnesses=cap)
+                assert repr(got) == repr(want)  # repr tells -0.0 from 0.0
+                assert type(got.min_slack) is float
+                assert len(got.witnesses) == min(cap, got.count_violations)
+                at = [(idx[w.x], idx[w.y], idx[w.z]) for w in got.witnesses]
+                assert at == sorted(set(at))  # row-major (x, y, z), c type included
+            bad, _ = additive_scan(m.entries.tolist(), ty.value, False, tol.eps_ineq)
+            at = [(idx[w.x], idx[w.y], idx[w.z]) for w in report.triangle[ty].witnesses]
+            assert at == bad[:cap]
+
+
+def test_c_type_zero_minimum_is_read_in_row_major_order():
+    # With -0.0 entries a c slab holds both zeros, and which one min returns
+    # depends on reading order; the scan reads each slab in (y, z) order.
+    E = np.array([[-0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-0.0, 0.0, 0.0]])
+    m = lm(E)
+    want, signs = math.inf, set()
+    for x in range(3):
+        slab = (E[x, :][:, None] + E[:, x][None, :]) - E  # d(z,x) + d(x,y) - d(y,z)
+        signs |= {math.copysign(1.0, v) for v in slab.ravel() if v == 0}
+        if float(slab.min()) < want:
+            want = float(slab.min())
+    assert signs == {1.0, -1.0}
+    for v in (check_triangle(m, "c"), classify(m).triangle[InequalityType.CYCLIC]):
+        assert repr(v.min_slack) == repr(want)

@@ -214,6 +214,30 @@ def test_transform_stray_flag_rejected(cli):
     assert "does not take --alpha" in err
 
 
+HUGE = "1" * 400  # a JSON integer too large for a float
+
+
+def test_huge_json_integer_in_a_matrix_is_a_parse_error(cli):
+    code, out, err = cli(["classify"], stdin='{"matrix": [[' + HUGE + "]]}")
+    assert (code, out) == (2, "")
+    assert err == "error: number is too large for a float (row 1, column 1)\n"
+    # past the interpreter's digit limit the JSON decoder itself refuses it
+    code, out, err = cli(["classify"], stdin='{"matrix": [[' + "1" * 5000 + "]]}")
+    assert (code, out) == (2, "")
+    assert err == "error: invalid JSON: an integer has too many digits\n"
+
+
+def test_huge_json_integer_in_a_decomposition_is_a_parse_error(cli):
+    doc = '{"d": {"matrix": [[0, %s], [1, 0]]}, "f": {"x1": 0, "x2": 0}}' % HUGE
+    code, out, err = cli(["transform", "compose"], stdin=doc)
+    assert (code, out) == (2, "")
+    assert err == "error: number is too large for a float (row 1, column 2)\n"
+    doc = '{"d": {"matrix": [[0, 1], [1, 0]]}, "f": {"x1": 0, "x2": %s}}' % HUGE
+    code, out, err = cli(["transform", "compose"], stdin=doc)
+    assert (code, out) == (2, "")
+    assert err == "error: gauge value for 'x2' is too large for a float\n"
+
+
 def test_transform_decompose_and_compose_roundtrip(cli, tmp_path):
     src = serialize_matrix(parse_matrix(PROTO_CSV), "json")
     code, dec, _ = cli(["transform", "decompose"], stdin=src)

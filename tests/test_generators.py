@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protometrics import (
     GenSpec,
@@ -25,7 +27,7 @@ from protometrics import (
     zero_coordinates,
 )
 
-from oracles import minplus_closure
+from oracles import minplus_closure, perturb_target
 
 GRID = 2.0 ** -20
 
@@ -193,6 +195,18 @@ def test_perturb_generated_protometrics(ty):
     # grid arithmetic keeps the engineered deficit exact
     assert v.min_slack == -1.0
     assert int((q.entries != p.entries).sum()) == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 8), st.integers(0, 2**64 - 1), st.sampled_from("oitc"),
+       st.sampled_from([1.0, 0.25, 3.0]))
+def test_perturb_matches_the_reference_loop(n, seed, ty, magnitude):
+    # Non-strict protometrics are full of exact ties, some on diagonal targets.
+    p = gen_protometric(GenSpec(n, seed), ty)
+    s, x, y, z = perturb_target(p.entries.tolist(), ty)
+    want = p.entries.copy()
+    want[y, z] += s + magnitude
+    assert perturb_violation(p, ty, magnitude).entries.tobytes() == want.tobytes()
 
 
 def test_perturb_rejects_bad_magnitude():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from protometrics import (
     GenSpec,
+    InequalityType,
     LabeledMatrix,
     PreconditionError,
     ToleranceConfig,
@@ -154,15 +155,16 @@ def test_guarded_transforms_reject_exactly_when_their_flag_is_false(M, tol):
 
 @pytest.fixture()
 def scans(monkeypatch):
-    """Inequality types of the n^3 additive scans run since the list was last cleared."""
+    """The (type, with_self_term) pairs of each additive scan run since the list was cleared."""
     calls = []
-    real = checks._additive_check
+    real = checks._scan
 
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return real(*args, **kwargs)
+    def counted(M, tol, kinds, max_witnesses):
+        calls.append(list(kinds))
+        return real(M, tol, kinds, max_witnesses)
 
-    monkeypatch.setattr(checks, "_additive_check", counted)
+    monkeypatch.setattr(checks, "_scan", counted)
+    monkeypatch.setattr(sys.modules["protometrics.classify"], "_scan", counted)
     return calls
 
 
@@ -170,7 +172,8 @@ def test_classify_scans_each_slab_once(scans):
     M = gen_protometric(GenSpec(6, 1))
     scans.clear()
     classify(M)
-    assert len(scans) == 8
+    assert len(scans) == 1 and len(scans[0]) == 8
+    assert set(scans[0]) == {(ty, self_term) for ty in InequalityType for self_term in (False, True)}
 
 
 def test_guarded_transforms_scan_at_most_once(scans):
@@ -193,6 +196,7 @@ def test_guarded_transforms_scan_at_most_once(scans):
         fn(M, ToleranceConfig())
         pair_only = flag in ("potential_difference", "zero_protometric")
         assert len(scans) == (0 if pair_only else 1), name
+        assert all(len(kinds) == 1 for kinds in scans), name
 
 
 def test_reject_on_a_pair_flag_scans_nothing(scans):
