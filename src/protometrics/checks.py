@@ -6,16 +6,16 @@ Evaluation is vectorized one x-slab at a time so memory stays O(n^2) while
 the scan order remains row-major in (x, y, z).
 
 The triangle and pre-quadrangle checks of all four types share one pass
-over x (``_scan``). Per x it writes the o, i and t sums of the left side
-into three preallocated (n, n) buffers and subtracts d(y, z) in place. The
-c slack needs no sum of its own: d(z,x) + d(x,y) - d(y,z) is entry [z, y]
-of t's sum minus the transpose of d, so it is built contiguous and read
-transposed. A pre-quadrangle slack is its triangle slack minus the scalar
-d(x, x). Rounding is monotone, so the minimum of fl(s - d(x,x)) over a slab
-is exactly fl(min s - d(x,x)), and that number also tells whether any entry
-is below -eps_ineq. The mask of violations, always built with the
-expression (s - d(x,x)) < -eps_ineq, is therefore only needed for an x that
-has one. Each witness is recomputed as scalar sums in the same order.
+over x (``_scan``). Per x it builds the slack of each requested type in
+turn, in one reused (n, n) buffer indexed [y, z] (``_slab``): an outer sum
+of the row d(x, .) and the column d(., x), written row-major, minus d(y, z).
+Each slab is read in (y, z) order, which also fixes which zero its minimum
+is when it holds both 0.0 and -0.0. A pre-quadrangle slack is its triangle
+slack minus d(x, x). Rounding is monotone, so the minimum of fl(s - d(x,x))
+is exactly fl(min s - d(x,x)), and that number tells whether any entry is
+below -eps_ineq. Only then is the violation mask filled, in one reused
+buffer, and once for both forms of a type when d(x, x) is zero. Witnesses
+come from its leading rows, recomputed as scalar sums in the same order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -112,32 +111,29 @@ _LHS = {
 }
 
 
-def _slabs(E: np.ndarray, types) -> Iterator[dict[InequalityType, np.ndarray]]:
-    """Triangle slacks lhs(x,y,z) - d(y,z) of each type in ``types``, one x at a time.
+def _slab(E: np.ndarray, x: int, ty: InequalityType, out: np.ndarray) -> np.ndarray:
+    """Write the type-ty triangle slack lhs(x,y,z) - d(y,z) at x into ``out``, indexed [y, z].
 
-    Yields, for x = 0, 1, ..., n-1, a dict mapping each type to its (n, n)
-    slack indexed [y, z]. The arrays are buffers that the next x overwrites.
+    The left side is the outer sum a[y] + b[z] of the row d(x, .) and the
+    column d(., x). b is copied into every row and a added down the columns,
+    so ``out`` is written row-major; addition commutes, so a + b = b + a.
     """
-    n = len(E)
-    ET = np.ascontiguousarray(E.T)
-    O = np.empty((n, n)) if _O in types else None
-    I = np.empty((n, n)) if _I in types else None
-    T = np.empty((n, n)) if _T in types or _C in types else None
-    C = np.empty((n, n)) if _T in types and _C in types else T
-    for x in range(n):
-        row, col = E[x], ET[x]
-        out = {}
-        if O is not None:  # d(x,y) + d(x,z)
-            out[_O] = np.subtract(np.add(row[:, None], row, out=O), E, out=O)
-        if I is not None:  # d(y,x) + d(z,x)
-            out[_I] = np.subtract(np.add(col[:, None], col, out=I), E, out=I)
-        if T is not None:  # d(y,x) + d(x,z)
-            np.add(col[:, None], row, out=T)
-            if _C in types:  # d(z,x) + d(x,y) - d(y,z) is (T - E^T)[z, y]
-                out[_C] = np.subtract(T, ET, out=C).T
-            if _T in types:
-                out[_T] = np.subtract(T, E, out=T)
-        yield out
+    row, col = E[x], np.ascontiguousarray(E[:, x])
+    a = col if ty is _I or ty is _T else row
+    b = col if ty is _I or ty is _C else row
+    np.copyto(out, b)
+    np.add(out, a[:, None], out=out)
+    return np.subtract(out, E, out=out)
+
+
+def _leading_hits(mask: np.ndarray, room: int) -> list[tuple[int, int]]:
+    """The first ``room`` indices (y, z) where ``mask`` holds, in row-major order."""
+    hits: list[tuple[int, int]] = []
+    for y in mask.any(axis=1).nonzero()[0].tolist() if room else ():
+        hits += [(y, z) for z in mask[y].nonzero()[0][: room - len(hits)].tolist()]
+        if len(hits) == room:
+            break
+    return hits
 
 
 def _scan(
@@ -156,40 +152,44 @@ def _scan(
     n = M.n
     labels = M.labels
     eps = tol.eps_ineq
-    # With a -0.0 entry, which zero a slab's min returns depends on the
-    # order it is read in, so the c slab is then read in its own order.
-    negzero = bool(np.signbit(E[E == 0]).any())
+    by_type = {ty: [k for k, kind in enumerate(kinds) if kind[0] is ty] for ty, _ in kinds}
+    S = np.empty((n, n))
+    mask = np.empty((n, n), dtype=bool)
     mins = [math.inf] * len(kinds)
     violations = [0] * len(kinds)
     found: list[list[ViolationWitness]] = [[] for _ in kinds]
-    for x, slacks in enumerate(_slabs(E, {ty for ty, _ in kinds})):
+    for x in range(n):
         d = float(E[x, x])
-        low = {
-            ty: float((np.ascontiguousarray(s) if negzero and ty is _C else s).min())
-            for ty, s in slacks.items()
-        }
-        for k, (ty, self_term) in enumerate(kinds):
-            # Rounding is monotone, so min(fl(s - d)) = fl(min(s) - d).
-            m = low[ty] - d if self_term else low[ty]
-            if m < mins[k]:
-                mins[k] = m
-            if not m < -eps:
-                continue
-            # Subtracting a zero d(x,x) changes no comparison, so it is skipped.
-            slack = slacks[ty] - d if self_term and d else slacks[ty]
-            mask = slack < -eps
-            violations[k] += int(np.count_nonzero(mask))
-            room = max_witnesses - len(found[k])
-            if room == 0:
-                continue
-            for y, z in np.argwhere(mask)[:room].tolist():
-                p, q = _LHS[ty](x, y, z)
-                lhs = float(E[p]) + float(E[q])
-                rhs = float(E[y, z])
-                s = lhs - rhs
-                if self_term:
-                    rhs, s = rhs + d, s - d
-                found[k].append(ViolationWitness(labels[x], labels[y], labels[z], lhs, rhs, -s))
+        for ty, ks in by_type.items():
+            low = float(_slab(E, x, ty, S).min())
+            # The pairs failing at x, by the slack they compare: S, or S - d(x,x).
+            # A zero d(x,x) changes no comparison, so both forms then share a mask.
+            groups: tuple[list[int], list[int]] = ([], [])
+            for k in ks:
+                # Rounding is monotone, so min(fl(s - d)) = fl(min(s) - d).
+                m = low - d if kinds[k][1] else low
+                if m < mins[k]:
+                    mins[k] = m
+                if m < -eps:
+                    groups[bool(kinds[k][1] and d)].append(k)
+            for shifted, group in enumerate(groups):
+                if not group:
+                    continue
+                if shifted:  # the last use of S at this x
+                    np.subtract(S, d, out=S)
+                count = int(np.count_nonzero(np.less(S, -eps, out=mask)))
+                at = _leading_hits(mask, max(max_witnesses - len(found[k]) for k in group))
+                for k in group:
+                    violations[k] += count
+                    for y, z in at[: max_witnesses - len(found[k])]:
+                        p, q = _LHS[ty](x, y, z)
+                        lhs = float(E[p]) + float(E[q])
+                        rhs = float(E[y, z])
+                        s = lhs - rhs
+                        if kinds[k][1]:
+                            rhs, s = rhs + d, s - d
+                        w = ViolationWitness(labels[x], labels[y], labels[z], lhs, rhs, -s)
+                        found[k].append(w)
     return [_verdict(found[k], mins[k], n**3, violations[k]) for k in range(len(kinds))]
 
 
@@ -253,10 +253,10 @@ def check_strict(
     witnesses = [
         ViolationWitness(labels[x], labels[y], labels[y], float(lhs[x, y]), float(rhs[x, y]),
                          -float(slack[x, y]))
-        for x, y in np.argwhere(mask)[:max_witnesses].tolist()
+        for x, y in _leading_hits(mask, max_witnesses)
     ]
     min_slack = float(slack[off].min()) if n > 1 else None
-    return _verdict(witnesses, min_slack, n * (n - 1), int(mask.sum()))
+    return _verdict(witnesses, min_slack, n * (n - 1), int(np.count_nonzero(mask)))
 
 
 def check_transition(
@@ -286,21 +286,21 @@ def check_transition(
     min_slack = math.inf
     violations = 0
     witnesses: list[ViolationWitness] = []
+    lhs, rhs, slack = np.empty((3, n, n))
+    mask = np.empty((n, n), dtype=bool)
     for x in range(n):
-        row = E[x, :]
-        col = E[:, x]
-        lhs = col[:, None] * row[None, :]  # s(y,x) * s(x,z)
-        rhs = E * E[x, x]  # s(y,z) * s(x,x)
-        slack = rhs - lhs
-        m = float(slack.min())
+        np.copyto(lhs, E[x])
+        np.multiply(lhs, E[:, x, None], out=lhs)  # s(y,x) * s(x,z)
+        np.multiply(E, E[x, x], out=rhs)  # s(y,z) * s(x,x)
+        m = float(np.subtract(rhs, lhs, out=slack).min())
         if m < min_slack:
             min_slack = m
-        mask = lhs > rhs * (1.0 + eps) + eps
-        hits = int(mask.sum())
+        np.greater(lhs, rhs * (1.0 + eps) + eps, out=mask)
+        hits = int(np.count_nonzero(mask))
         if hits == 0:
             continue
         violations += hits
-        for y, z in np.argwhere(mask)[: max_witnesses - len(witnesses)].tolist():
+        for y, z in _leading_hits(mask, max_witnesses - len(witnesses)):
             witnesses.append(
                 ViolationWitness(labels[x], labels[y], labels[z], float(lhs[y, z]),
                                  float(rhs[y, z]), float(lhs[y, z] - rhs[y, z]))

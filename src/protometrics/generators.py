@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import _slabs, check_prequadrangle, first_violation
+from .checks import _slab, check_prequadrangle, first_violation
 from .errors import InputError, PreconditionError
 from .matrix import (
     DEFAULT_TOLERANCE,
@@ -238,9 +238,10 @@ def perturb_violation(
     E = M.entries
     n = M.n
     diagonal = np.eye(n, dtype=bool)
+    slack = np.empty((n, n))
     best = []  # per x: (slack, target-is-diagonal, x, y, z) of its first best triple
-    for x, slacks in enumerate(_slabs(E, {ty})):
-        slack = slacks[ty] - E[x, x]
+    for x in range(n):
+        np.subtract(_slab(E, x, ty, slack), E[x, x], out=slack)
         # Raising p(y,z) raises the right side only, unless (y,z) is also a
         # left-side slot; the inequality then holds identically.
         free = np.ones((n, n), dtype=bool)

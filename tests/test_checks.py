@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -281,15 +282,20 @@ def ulps_around(v, k=3):
 def boundary_cases(draw):
     """A matrix and a tolerance whose slacks sit within a few ulps of -eps_ineq.
 
-    Entries near +-1e308 make slabs overflow to +-inf.
+    Entries near +-1e308 make slabs overflow to +-inf. Half the matrices get
+    a diagonal of 0.0 and -0.0, on which the triangle and pre-quadrangle
+    checks of a type compare the same slacks.
     """
     eps = draw(st.sampled_from([0.0, 1e-9, 0.5]))
     pool = [s * v for v in ulps_around(eps) for s in (1.0, -1.0)]
     pool += [0.0, -0.0, 1.0, -1.0, 2.0, 1e308, -1e308, 1.7e308, -1.7e308]
     n = draw(st.integers(1, 4))
     cell = st.one_of(st.sampled_from(pool), st.floats(-3, 3, width=16))
-    cells = draw(st.lists(cell, min_size=n * n, max_size=n * n))
-    return lm(np.array(cells).reshape(n, n)), ToleranceConfig(eps_ineq=eps)
+    E = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        zeros = st.sampled_from([0.0, -0.0])
+        np.fill_diagonal(E, draw(st.lists(zeros, min_size=n, max_size=n)))
+    return lm(E), ToleranceConfig(eps_ineq=eps)
 
 
 @settings(max_examples=300, deadline=None)
@@ -308,22 +314,39 @@ def test_classify_verdicts_equal_the_single_checks(case, cap):
                 assert len(got.witnesses) == min(cap, got.count_violations)
                 at = [(idx[w.x], idx[w.y], idx[w.z]) for w in got.witnesses]
                 assert at == sorted(set(at))  # row-major (x, y, z), c type included
-            bad, _ = additive_scan(m.entries.tolist(), ty.value, False, tol.eps_ineq)
-            at = [(idx[w.x], idx[w.y], idx[w.z]) for w in report.triangle[ty].witnesses]
-            assert at == bad[:cap]
+            # The oracle adds d(x,x) to d(y,z) before subtracting, which rounds
+            # differently unless d(x,x) is zero.
+            zero_diagonal = not np.diagonal(m.entries).any()
+            for prequad in (False, True) if zero_diagonal else (False,):
+                bad, _ = additive_scan(m.entries.tolist(), ty.value, prequad, tol.eps_ineq)
+                got = (report.prequadrangle if prequad else report.triangle)[ty]
+                assert [(idx[w.x], idx[w.y], idx[w.z]) for w in got.witnesses] == bad[:cap]
+                assert got.count_violations == len(bad)
 
 
-def test_c_type_zero_minimum_is_read_in_row_major_order():
-    # With -0.0 entries a c slab holds both zeros, and which one min returns
-    # depends on reading order; the scan reads each slab in (y, z) order.
-    E = np.array([[-0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [-0.0, 0.0, 0.0]])
-    m = lm(E)
-    want, signs = math.inf, set()
-    for x in range(3):
-        slab = (E[x, :][:, None] + E[:, x][None, :]) - E  # d(z,x) + d(x,y) - d(y,z)
-        signs |= {math.copysign(1.0, v) for v in slab.ravel() if v == 0}
-        if float(slab.min()) < want:
-            want = float(slab.min())
-    assert signs == {1.0, -1.0}
-    for v in (check_triangle(m, "c"), classify(m).triangle[InequalityType.CYCLIC]):
-        assert repr(v.min_slack) == repr(want)
+def test_zero_minimum_is_read_in_row_major_order():
+    # With -0.0 entries a slab can hold both zeros, and which one min returns
+    # depends on reading order; the scan reads every slab in (y, z) order.
+    # min_slack does not depend on the witness cap, so cap 1 keeps this fast.
+    both_zeros = 0
+    for n in (1, 2, 3):
+        x, y, z = np.ogrid[:n, :n, :n]
+        for cells in itertools.product((0.0, -0.0, 1.0), repeat=n * n):
+            E = np.array(cells).reshape(n, n)
+            m = lm(E)
+            report = classify(m, max_witnesses=1)
+            # slab[x] is the row-major (y, z) slack of one x: lhs(x,y,z) - d(y,z)
+            lhs = {"o": E[x, y] + E[x, z], "i": E[y, x] + E[z, x],
+                   "t": E[y, x] + E[x, z], "c": E[z, x] + E[x, y]}
+            for ty in InequalityType:
+                triangle = lhs[ty.value] - E[y, z]
+                for slab, check, got in (
+                    (triangle, check_triangle, report.triangle[ty]),
+                    (triangle - E[x, x], check_prequadrangle, report.prequadrangle[ty]),
+                ):
+                    zeros = slab[slab == 0]
+                    both_zeros += bool(np.signbit(zeros).any() and not np.signbit(zeros).all())
+                    want = repr(min(float(slab[k].min()) for k in range(n)))  # first least x
+                    assert repr(got.min_slack) == want
+                    assert repr(check(m, ty, max_witnesses=1).min_slack) == want
+    assert both_zeros
