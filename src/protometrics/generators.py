@@ -3,6 +3,9 @@
 Reproducibility contract: all randomness comes from SplitMix64, a fixed
 64-bit generator that is trivial to reimplement (see the class docstring),
 and every real draw lands on a dyadic grid, k * 2^-20 times the scale.
+Each documented run of draws (a generator's edges, its surjection, its
+gauge) is evaluated as one numpy uint64 block; the draw order is the one
+each generator's docstring gives, and the stream is the scalar one.
 Grid draws keep all downstream linear arithmetic (closures, composition,
 decomposition, metrization) exact in float64 at these magnitudes, which is
 what makes the bijection round-trips bit-exact rather than merely close.
@@ -37,7 +40,10 @@ __all__ = [
 ]
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 _GRID = 2.0 ** -20
+_MAX_SCALE = 2.0 ** 1021
+_U64 = np.uint64
 
 
 class SplitMix64:
@@ -45,6 +51,10 @@ class SplitMix64:
     the state mixed by two xor-shift-multiply rounds (0xBF58476D1CE4E5B9,
     0x94D049BB133111EB) and a final right shift by 31. All arithmetic is
     modulo 2^64.
+
+    The state after k draws is seed + k * 0x9E3779B97F4A7C15, so a block of
+    k draws is evaluated at once, in uint64 arrays, with the same outputs in
+    the same order as k single draws; the scalar methods are blocks of one.
     """
 
     __slots__ = ("state",)
@@ -52,24 +62,38 @@ class SplitMix64:
     def __init__(self, seed: int):
         self.state = seed & _MASK64
 
+    def _block(self, k: int) -> np.ndarray:
+        """The next k outputs, in draw order, as a uint64 array."""
+        # Only uint64 operands, so no operand is ever promoted to float64.
+        z = np.arange(1, k + 1, dtype=_U64) * _U64(_GAMMA) + _U64(self.state)
+        self.state = (self.state + k * _GAMMA) & _MASK64
+        z = (z ^ (z >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> _U64(27))) * _U64(0x94D049BB133111EB)
+        return z ^ (z >> _U64(31))
+
+    def _units(self, k: int) -> np.ndarray:
+        return (self._block(k) >> _U64(44)).astype(np.float64) * _GRID
+
+    def _units_pos(self, k: int) -> np.ndarray:
+        return ((self._block(k) >> _U64(44)) + _U64(1)).astype(np.float64) * _GRID
+
+    def _signed(self, k: int) -> np.ndarray:
+        return (self._block(k) >> _U64(43)).astype(np.float64) * _GRID - 1.0
+
     def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return int(self._block(1)[0])
 
     def unit(self) -> float:
         """Uniform on the grid {k * 2^-20 : 0 <= k < 2^20}, so in [0, 1)."""
-        return (self.next_u64() >> 44) * _GRID
+        return float(self._units(1)[0])
 
     def unit_pos(self) -> float:
         """Uniform on the grid points of (0, 1]."""
-        return ((self.next_u64() >> 44) + 1) * _GRID
+        return float(self._units_pos(1)[0])
 
     def signed(self) -> float:
         """Uniform on the grid points of [-1, 1)."""
-        return (self.next_u64() >> 43) * _GRID - 1.0
+        return float(self._signed(1)[0])
 
 
 @dataclass(frozen=True)
@@ -89,8 +113,9 @@ class GenSpec:
             raise InputError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         if isinstance(self.scale, bool) or not isinstance(self.scale, (int, float)):
             raise InputError(f"scale must be a real number, got {self.scale!r}")
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise InputError(f"scale must be finite and > 0, got {self.scale!r}")
+        # No generator sums more than three drawn magnitudes, so 2**1021 cannot overflow.
+        if not 0 < self.scale <= _MAX_SCALE:
+            raise InputError(f"scale must be > 0 and at most 2**1021, got {self.scale!r}")
 
 
 def shortest_path_closure(M: LabeledMatrix) -> LabeledMatrix:
@@ -117,17 +142,17 @@ def _closed(rng: SplitMix64, n: int, scale: float, symmetric: bool) -> np.ndarra
     Draws one edge per unordered pair (upper triangle row by row, mirrored)
     when symmetric, else one per ordered pair, row by row.
     """
-    pairs = [(i, j) for i in range(n) for j in range(n) if (i < j if symmetric else i != j)]
+    off = ~np.eye(n, dtype=bool)
+    drawn = np.triu(off) if symmetric else off
+    k = int(np.count_nonzero(drawn))
     for _ in range(1000):
         E = np.zeros((n, n))
-        for i, j in pairs:
-            E[i, j] = rng.unit_pos() * scale
+        E[drawn] = rng._units_pos(k) * scale  # a boolean mask assigns in row-major order
         if symmetric:
             E = E + E.T  # the lower triangle is zero, so this mirrors exactly
         E = _closure(E)
         if n == 1:
             return E
-        off = ~np.eye(n, dtype=bool)
         if float(E[off].min()) > DEFAULT_TOLERANCE.eps_strict:
             return E
     raise InputError(f"scale {scale!r} is too small to keep distances away from zero")
@@ -176,13 +201,11 @@ def gen_protometric(
     n = spec.n
     m = n if strict else max(1, (n + 1) // 2)
     base = _closed(rng, m, spec.scale, symmetric=ty is not InequalityType.TRANSITIVE)
-    if m == n:
-        sigma = list(range(n))
-    else:
-        sigma = list(range(m)) + [rng.next_u64() % m for _ in range(m, n)]
+    targets = (rng._block(n - m) % _U64(m)).astype(np.intp)
+    sigma = np.concatenate((np.arange(m), targets))
     labels = auto_labels(n)
     d = LabeledMatrix(labels, base[np.ix_(sigma, sigma)])
-    f = {l: rng.signed() * spec.scale for l in labels}
+    f = dict(zip(labels, (rng._signed(n) * spec.scale).tolist()))
     return compose(d, f)
 
 
@@ -194,8 +217,8 @@ def gen_zero_protometric(spec: GenSpec) -> LabeledMatrix:
     """
     rng = SplitMix64(spec.seed)
     labels = auto_labels(spec.n)
-    a = np.array([rng.signed() * spec.scale for _ in range(spec.n)])
-    b = np.array([rng.signed() * spec.scale for _ in range(spec.n)])
+    a = rng._signed(spec.n) * spec.scale
+    b = rng._signed(spec.n) * spec.scale
     return LabeledMatrix(labels, a[:, None] + b[None, :])
 
 

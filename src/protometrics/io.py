@@ -6,6 +6,12 @@ labeled x1..xn. JSON: an object with an optional "labels" array and a
 required square "matrix". Numbers are written with the shortest decimal that
 parses back to the identical binary float, and non-finite values are
 rejected at parse time.
+
+Both directions convert a whole row at a time: a row is parsed by one
+``map(float, ...)`` and checked by the finiteness of its sum, and written
+from ``entries.tolist()``. Only a row that fails that check goes through
+the per-cell loop, which locates its first bad cell; a row of finite
+numbers whose sum overflows is accepted there.
 """
 
 from __future__ import annotations
@@ -63,6 +69,17 @@ def _parse_cell(cell: str, row: int, col: int) -> float:
     return v
 
 
+def _parse_row(cells: list[str], row: int, col: int) -> list[float]:
+    """The numbers of one CSV row whose first cell is at column ``col``."""
+    try:
+        values = list(map(float, cells))
+        if math.isfinite(sum(values)):
+            return values
+    except ValueError:
+        pass
+    return [_parse_cell(c, row, col + j) for j, c in enumerate(cells)]
+
+
 def _looks_numeric(cell: str) -> bool:
     try:
         float(cell)
@@ -93,7 +110,7 @@ def _parse_csv(text: str) -> LabeledMatrix:
             if r[0] != labels[i]:
                 raise ParseError(f"row label {r[0]!r} does not match header label {labels[i]!r}",
                                  row=i + 2, col=1)
-            grid.append([_parse_cell(c, i + 2, j + 2) for j, c in enumerate(r[1:])])
+            grid.append(_parse_row(r[1:], i + 2, 2))
     else:
         labels = auto_labels(len(rows))
         n = len(rows)
@@ -101,7 +118,7 @@ def _parse_csv(text: str) -> LabeledMatrix:
         for i, r in enumerate(rows):
             if len(r) != n:
                 raise ParseError(f"expected {n} cells, got {len(r)}", row=i + 1)
-            grid.append([_parse_cell(c, i + 1, j + 1) for j, c in enumerate(r)])
+            grid.append(_parse_row(r, i + 1, 1))
     try:
         return LabeledMatrix(labels, grid)
     except InvalidMatrixError as e:
@@ -145,6 +162,9 @@ def _matrix_from_obj(doc: object) -> LabeledMatrix:
     for i, row in enumerate(matrix):
         if not isinstance(row, list) or len(row) != n:
             raise ParseError(f"'matrix' must be square; row {i + 1} does not have {n} entries")
+        if set(map(type, row)) == {float} and math.isfinite(sum(row)):
+            grid.append(row)
+            continue
         out = []
         for j, v in enumerate(row):
             if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -188,11 +208,7 @@ def parse_matrix(text: str, format: MatrixFormat | str | None = None) -> Labeled
 
 
 def _matrix_obj(M: LabeledMatrix) -> dict:
-    return {"labels": list(M.labels), "matrix": [[float(v) for v in row] for row in M.entries]}
-
-
-def _format_value(v: float) -> str:
-    return repr(float(v))
+    return {"labels": list(M.labels), "matrix": M.entries.tolist()}
 
 
 def serialize_matrix(M: LabeledMatrix, format: MatrixFormat | str = MatrixFormat.CSV) -> str:
@@ -205,8 +221,8 @@ def serialize_matrix(M: LabeledMatrix, format: MatrixFormat | str = MatrixFormat
         if any(c in l for c in ",\r\n\""):
             raise InputError(f"label {l!r} cannot be written as CSV; use the JSON format")
     lines = ["," + ",".join(M.labels)]
-    for i, l in enumerate(M.labels):
-        lines.append(l + "," + ",".join(_format_value(v) for v in M.entries[i]))
+    for l, row in zip(M.labels, M.entries.tolist()):
+        lines.append(l + "," + ",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 

@@ -112,7 +112,7 @@ class LabeledMatrix:
         if not np.isfinite(arr).all():
             i, j = map(int, np.argwhere(~np.isfinite(arr))[0])
             raise InvalidMatrixError(
-                f"non-finite entry {arr[i, j]!r} at ({labels[i]!r}, {labels[j]!r})"
+                f"non-finite entry {float(arr[i, j])!r} at ({labels[i]!r}, {labels[j]!r})"
             )
         arr.flags.writeable = False
         object.__setattr__(self, "labels", labels)

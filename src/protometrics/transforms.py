@@ -12,6 +12,7 @@ import numpy as np
 from .checks import (
     BASE_FLAGS,
     DERIVED_FLAGS,
+    _slab,
     check_prequadrangle,
     degenerate_pairs,
     first_violation,
@@ -130,7 +131,8 @@ def add(a: LabeledMatrix, b: LabeledMatrix) -> LabeledMatrix:
             "entrywise sum needs identical label sequences, got "
             f"{list(a.labels)!r} and {list(b.labels)!r}"
         )
-    return LabeledMatrix(a.labels, a.entries + b.entries)
+    with np.errstate(over="ignore"):  # LabeledMatrix rejects an overflowed sum
+        return LabeledMatrix(a.labels, a.entries + b.entries)
 
 
 def affine_gauge(M: LabeledMatrix, alpha: float, f: Mapping[str, float]) -> LabeledMatrix:
@@ -262,27 +264,20 @@ def specialization_preorder(
             f"d({labels[x]!r},{labels[z]!r}) = {float(E[x, z])!r} > eps_eq; "
             "the equality tolerance is inconsistent with the inequality tolerance"
         )
-    relation = tuple(
-        (labels[i], labels[j]) for i, j in np.argwhere(rel)
-    )
+    relation = tuple((labels[i], labels[j]) for i, j in np.argwhere(rel).tolist())
     mutual = rel & rel.T
-    assigned = [False] * n
+    assigned = np.zeros(n, dtype=bool)
     classes: list[tuple[str, ...]] = []
     reps: list[int] = []
     for i in range(n):
         if assigned[i]:
             continue
-        members = [j for j in range(n) if mutual[i, j]]
-        for j in members:
-            assigned[j] = True
-        classes.append(tuple(labels[j] for j in members))
+        members = np.flatnonzero(mutual[i])
+        assigned[members] = True
+        classes.append(tuple(labels[j] for j in members.tolist()))
         reps.append(i)
-    quotient = tuple(
-        (labels[ri], labels[rj])
-        for ri in reps
-        for rj in reps
-        if ri != rj and rel[ri, rj]
-    )
+    between = rel[np.ix_(reps, reps)] & ~np.eye(len(reps), dtype=bool)
+    quotient = tuple((labels[reps[a]], labels[reps[b]]) for a, b in np.argwhere(between).tolist())
     return PreorderResult(relation=relation, classes=tuple(classes), quotient_order=quotient)
 
 
@@ -330,19 +325,15 @@ def min_farris_constant(
 ) -> float:
     """Least C for which the Farris transform passes triangle plus nonnegativity.
 
-    C = max over ordered triples of G(x,y) + G(x,z) - G(y,z), joined with the
-    largest pairwise product and with 0. At this C at least one constraint is
-    tight, so any smaller constant breaks a triangle or nonnegativity check.
+    C = max over ordered triples of G(x,y) + G(x,z) - G(y,z), the type-o
+    triangle slack of G, joined with the largest pairwise product and with 0.
+    At this C at least one constraint is tight, so any smaller constant breaks
+    a triangle or nonnegativity check.
     """
     G = gromov_product(d, x0, tol).entries
-    best = 0.0
-    for x in range(d.n):
-        row = G[x, :]
-        t = float(((row[:, None] + row[None, :]) - G).max())
-        if t > best:
-            best = t
-    pair = float(G.max())
-    return max(best, pair, 0.0)
+    slab = np.empty_like(G)
+    tops = [float(_slab(G, x, InequalityType.OUTGOING, slab).max()) for x in range(d.n)]
+    return max([0.0, *tops, float(G.max())])
 
 
 def log_transform(s: LabeledMatrix) -> LabeledMatrix:

@@ -99,6 +99,56 @@ def diag_interval(E, ty, x):
     )
 
 
+def splitmix64(seed, k):
+    """The first k SplitMix64 outputs from seed, one Python-int draw at a time."""
+    mask = (1 << 64) - 1
+    state, out = seed & mask, []
+    for _ in range(k):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def generated(kind, n, seed, scale=10.0, ty="t", strict=False):
+    """A generator's matrix rebuilt from its documented draw order, one draw at a time.
+
+    kind is "metric", "qsm", "proto" or "zero"; the redraw of a degenerate
+    closure is not modelled (it is unreachable at these scales).
+    """
+    draws = iter(splitmix64(seed, 2 * n * n + 2 * n))
+
+    def unit_pos():
+        return ((next(draws) >> 44) + 1) * 2.0 ** -20 * scale
+
+    def signed():
+        return ((next(draws) >> 43) * 2.0 ** -20 - 1.0) * scale
+
+    def closed(m, symmetric):
+        E = [[0.0] * m for _ in range(m)]
+        for i in range(m):
+            for j in range(m):
+                if (i < j) if symmetric else (i != j):
+                    E[i][j] = unit_pos()
+                    if symmetric:
+                        E[j][i] = E[i][j]
+        return minplus_closure(E)
+
+    if kind in ("metric", "qsm"):
+        return closed(n, kind == "metric")
+    if kind == "zero":
+        a = [signed() for _ in range(n)]
+        b = [signed() for _ in range(n)]
+        return [[a[i] + b[j] for j in range(n)] for i in range(n)]
+    m = n if strict else max(1, (n + 1) // 2)
+    base = closed(m, ty != "t")
+    sigma = list(range(m)) + [next(draws) % m for _ in range(m, n)]
+    f = [signed() for _ in range(n)]
+    return [[((base[sigma[i]][sigma[j]] + f[i]) + f[j]) * 0.5 for j in range(n)] for i in range(n)]
+
+
 def minplus_closure(E):
     n = len(E)
     D = [row[:] for row in E]

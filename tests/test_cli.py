@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -192,6 +193,16 @@ def test_transform_add(cli, tmp_path):
     code, _, err = cli(["transform", "add"], stdin=PATH_CSV)
     assert code == 2
     assert "requires --other" in err
+
+
+def test_transform_add_overflow(cli, tmp_path):
+    big = tmp_path / "big.csv"
+    big.write_text("1e308,1e308\n1e308,1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")  # a numpy warning would be printed to stderr
+        code, out, err = cli(["transform", "add", "--other", str(big)], stdin=big.read_text())
+    assert (code, out) == (2, "")
+    assert err == "error: non-finite entry inf at ('x1', 'x1')\n"
 
 
 def test_transform_metrize(cli):
@@ -406,6 +417,18 @@ def test_generate_validation(cli):
     assert code == 2
     assert "--strict only applies" in err
     assert cli(["generate", "protometric", "--n", "3", "--type", "q"])[0] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["metric", "--n", "3", "--scale", "1.7e308"],
+    ["protometric", "--n", "4", "--scale", "1e308"],
+])
+def test_generate_rejects_a_scale_that_can_overflow(cli, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("always")  # a numpy warning would be printed to stderr
+        code, out, err = cli(["generate", *argv, "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err == f"error: scale must be > 0 and at most 2**1021, got {float(argv[-1])!r}\n"
 
 
 def test_generate_to_file(cli, tmp_path):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from protometrics import (
@@ -27,7 +27,7 @@ from protometrics import (
     zero_coordinates,
 )
 
-from oracles import minplus_closure, perturb_target
+from oracles import generated, minplus_closure, perturb_target, splitmix64
 
 GRID = 2.0 ** -20
 
@@ -47,6 +47,36 @@ def test_splitmix64_reference_stream():
     r2 = SplitMix64(1234567)
     assert r2.next_u64() == 0x599ED017FB08FC85
     assert r2.next_u64() == 0x2C73F08458540FA5
+
+
+# Each draw method of SplitMix64 as a map of the raw outputs it consumes.
+GRID_MAPS = {
+    "next_u64": ("_block", lambda u: u),
+    "unit": ("_units", lambda u: (u >> 44) * GRID),
+    "unit_pos": ("_units_pos", lambda u: ((u >> 44) + 1) * GRID),
+    "signed": ("_signed", lambda u: (u >> 43) * GRID - 1.0),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, (1 << 64) - 1),
+    st.lists(st.tuples(st.sampled_from(sorted(GRID_MAPS)),
+                       st.one_of(st.just(0), st.just(1), st.integers(2, 300)),
+                       st.booleans()), max_size=8),
+)
+@example(0, [("next_u64", 3, False)])
+@example((1 << 64) - 1, [("signed", 0, False), ("unit_pos", 257, False), ("unit", 1, True)])
+def test_splitmix64_blocks_equal_the_reference_stream(seed, blocks):
+    # Any split of the stream into blocks, drawn by block or by scalar calls,
+    # gives the reference outputs in order.
+    r = SplitMix64(seed)
+    want = iter(splitmix64(seed, sum(k for _, k, _ in blocks)))
+    for name, k, scalar in blocks:
+        method, grid = GRID_MAPS[name]
+        got = [getattr(r, name)() for _ in range(k)] if scalar else getattr(r, method)(k).tolist()
+        assert [repr(v) for v in got] == [repr(grid(next(want))) for _ in range(k)]
+    assert next(want, None) is None
 
 
 def test_splitmix64_draws_are_on_the_grid():
@@ -78,9 +108,39 @@ def test_genspec_validation():
         {"n": 3, "seed": 0, "scale": 0.0},
         {"n": 3, "seed": 0, "scale": -1.0},
         {"n": 3, "seed": 0, "scale": math.inf},
+        {"n": 3, "seed": 0, "scale": math.nan},
+        {"n": 3, "seed": 0, "scale": math.nextafter(2.0 ** 1021, math.inf)},
+        {"n": 3, "seed": 0, "scale": 1.7e308},
+        {"n": 3, "seed": 0, "scale": 10 ** 400},
     ):
         with pytest.raises(InputError):
             GenSpec(**kw)
+
+
+@pytest.mark.parametrize("scale", [2 ** 1021, 2.0 ** 1021], ids=["int", "float"])
+def test_generators_stay_finite_at_the_largest_scale(scale):
+    # At the largest accepted scale no generator overflows: LabeledMatrix
+    # rejects a non-finite entry, and a numpy warning fails the suite.
+    spec = GenSpec(n=9, seed=3, scale=scale)
+    gen_metric(spec), gen_quasi_semi_metric(spec), gen_zero_protometric(spec)
+    for ty in "oitc":
+        gen_protometric(spec, ty, strict=False), gen_protometric(spec, ty, strict=True)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(["metric", "qsm", "proto", "zero"]), st.integers(1, 12),
+       st.integers(0, (1 << 64) - 1), st.sampled_from([10.0, 0.25, 3, 2.0 ** 1021]),
+       st.sampled_from("oitc"), st.booleans())
+def test_generators_follow_their_documented_draw_order(kind, n, seed, scale, ty, strict):
+    spec = GenSpec(n=n, seed=seed, scale=scale)
+    M = {
+        "metric": lambda: gen_metric(spec),
+        "qsm": lambda: gen_quasi_semi_metric(spec),
+        "proto": lambda: gen_protometric(spec, ty, strict),
+        "zero": lambda: gen_zero_protometric(spec),
+    }[kind]()
+    want = np.array(generated(kind, n, seed, scale, ty, strict), dtype=np.float64)
+    assert M.entries.tobytes() == want.tobytes()
 
 
 def test_generators_are_deterministic():

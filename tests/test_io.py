@@ -106,6 +106,16 @@ def test_parse_csv_errors_carry_positions():
         parse_matrix(",a,a\na,0,1\na,1,0")
     with pytest.raises(ParseError, match=r"non-finite value 'inf' \(row 1, column 1\)"):
         parse_matrix("inf,1\n1,0")
+    # Rows are converted whole; a row that fails is read again cell by cell.
+    # Finite cells whose sum overflows are accepted, bit for bit.
+    m = parse_matrix(",a,b\na,1e308,1.7976931348623157e308\nb,-0.0,1e308")
+    assert m.entries.tobytes() == np.array([[1e308, 1.7976931348623157e308],
+                                            [-0.0, 1e308]]).tobytes()
+    # The first bad row wins over a later one, whatever their faults.
+    with pytest.raises(ParseError, match=r"expected a number, got 'q' \(row 2, column 3\)"):
+        parse_matrix("0,1,2\n1,0,q\n2,1")
+    with pytest.raises(ParseError, match=r"non-finite value 'nan' \(row 1, column 2\)"):
+        parse_matrix("1e308,nan,1e308\n1,0,x\n0,0,0")
 
 
 def test_parse_json_errors():
@@ -131,6 +141,15 @@ def test_parse_json_errors():
         parse_matrix('{"labels": ["a"], "matrix": [[0, 1], [1, 0]]}')
     with pytest.raises(ParseError, match="duplicate label"):
         parse_matrix('{"labels": ["a", "a"], "matrix": [[0, 1], [1, 0]]}')
+    # A row that is not all finite floats is read cell by cell.
+    m = parse_matrix('{"matrix": [[1e308, 1e308], [0.5, 2]]}')
+    assert m.entries.tobytes() == np.array([[1e308, 1e308], [0.5, 2.0]]).tobytes()
+    with pytest.raises(ParseError, match=r"too large for a float \(row 2, column 2\)"):
+        parse_matrix('{"matrix": [[0.5, 1.5], [0.5, ' + "9" * 400 + ']]}')
+    with pytest.raises(ParseError, match=r"non-finite value inf \(row 1, column 2\)"):
+        parse_matrix('{"matrix": [[0.5, 1e400], [0.5, 0.5]]}')
+    with pytest.raises(ParseError, match=r"expected a number, got True \(row 1, column 1\)"):
+        parse_matrix('{"matrix": [[true, 0.5], [0.5, 0.5]]}')
 
 
 def test_serialize_csv_golden():
@@ -199,7 +218,9 @@ _label = st.text(
 def test_roundtrip_property(labels_rows, fmt):
     labels, rows = labels_rows
     m = LabeledMatrix(tuple(labels), rows)
-    assert parse_matrix(serialize_matrix(m, fmt), fmt) == m
+    again = parse_matrix(serialize_matrix(m, fmt), fmt)
+    # bytes, not ==, which takes -0.0 for 0.0
+    assert (again.labels, again.entries.tobytes()) == (m.labels, m.entries.tobytes())
 
 
 def test_report_json_shape_and_determinism():

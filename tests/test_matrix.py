@@ -76,10 +76,11 @@ def test_matrix_validation():
         LabeledMatrix(("a", "a"), [[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(InvalidMatrixError, match="nonempty strings"):
         LabeledMatrix(("a", ""), [[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(InvalidMatrixError, match="non-finite"):
+    with pytest.raises(InvalidMatrixError, match=r"non-finite entry nan at \('a', 'b'\)$"):
         LabeledMatrix(("a", "b"), [[0.0, math.nan], [1.0, 0.0]])
-    with pytest.raises(InvalidMatrixError, match="non-finite"):
-        LabeledMatrix(("a", "b"), [[0.0, math.inf], [1.0, 0.0]])
+    # the entry is named as a Python float, not as a numpy scalar repr
+    with pytest.raises(InvalidMatrixError, match=r"non-finite entry -inf at \('b', 'a'\)$"):
+        LabeledMatrix(("a", "b"), np.array([[0.0, 1.0], [-math.inf, 0.0]]))
 
 
 def test_matrix_unknown_label():

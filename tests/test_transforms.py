@@ -5,6 +5,7 @@ import pytest
 
 from protometrics import (
     InputError,
+    InvalidMatrixError,
     LabeledMatrix,
     PreconditionError,
     Status,
@@ -62,6 +63,12 @@ def test_add():
     # two metrics sum to a metric
     m = add(lm(PATH), lm(PATH))
     assert classify(m).flags["metric"]
+
+
+def test_add_overflow_is_rejected_without_a_warning():
+    big = lm([[1e308, 1e308], [1e308, 1e308]])
+    with pytest.raises(InvalidMatrixError, match=r"non-finite entry inf at \('x1', 'x1'\)$"):
+        add(big, big)  # warnings fail the suite, so this also pins that none is raised
 
 
 def test_add_needs_identical_label_sequences():
