@@ -2,8 +2,10 @@
 
 Every checker scans all n^3 ordered triples (or all n^2 ordered pairs),
 including fully degenerate ones; there are no sampling or pruning shortcuts.
-Evaluation is vectorized one x-slab at a time so memory stays O(n^2) while
-the scan order remains row-major in (x, y, z).
+The one exception is opt-in: a pre-quadrangle check asked to stop at the
+first failure ends after the first x whose slab fails. Evaluation is
+vectorized one x-slab at a time so memory stays O(n^2) while the scan order
+remains row-major in (x, y, z).
 
 The triangle and pre-quadrangle checks of all four types share one pass
 over x (``_scan``). Per x it builds the slack of each requested type in
@@ -141,11 +143,21 @@ def _scan(
     tol: ToleranceConfig,
     kinds: list[tuple[InequalityType, bool]],
     max_witnesses: int,
+    *,
+    stop_at_first_failure: bool = False,
 ) -> list[PropertyVerdict]:
     """The verdict of each (type, with_self_term) pair of ``kinds``, from one pass over x.
 
     A pair with the self term is the pre-quadrangle check of that type, one
     without it the triangle check.
+
+    With ``stop_at_first_failure`` the pass ends after the first x at which
+    every pair has failed, so with one pair after the first x whose slab
+    holds a violation. Each status and first witness are then those of the
+    full scan. The other fields cover only the x values scanned, 0..x:
+    count_checked is (x + 1) * n**2, and count_violations, min_slack and the
+    witnesses count only those slabs. A passing pair scans every x, so its
+    verdict is the full scan's.
     """
     _validate_cap(max_witnesses)
     E = M.entries
@@ -158,6 +170,7 @@ def _scan(
     mins = [math.inf] * len(kinds)
     violations = [0] * len(kinds)
     found: list[list[ViolationWitness]] = [[] for _ in kinds]
+    scanned = n
     for x in range(n):
         d = float(E[x, x])
         for ty, ks in by_type.items():
@@ -190,7 +203,11 @@ def _scan(
                             rhs, s = rhs + d, s - d
                         w = ViolationWitness(labels[x], labels[y], labels[z], lhs, rhs, -s)
                         found[k].append(w)
-    return [_verdict(found[k], mins[k], n**3, violations[k]) for k in range(len(kinds))]
+        if stop_at_first_failure and all(violations):
+            scanned = x + 1
+            break
+    checked = scanned * n * n
+    return [_verdict(found[k], mins[k], checked, violations[k]) for k in range(len(kinds))]
 
 
 def check_triangle(
@@ -211,13 +228,22 @@ def check_prequadrangle(
     tol: ToleranceConfig = DEFAULT_TOLERANCE,
     *,
     max_witnesses: int = DEFAULT_WITNESS_CAP,
+    stop_at_first_failure: bool = False,
 ) -> PropertyVerdict:
     """Check the type-ty pre-quadrangle inequality lhs(x,y,z) >= p(y,z) + p(x,x).
 
     Passing for type t is the defining property of a protometric.
+
+    With ``stop_at_first_failure=True`` the scan ends after the first x whose
+    slab holds a violation, as a caller that only needs one witness wants.
+    The status and the first witness equal the full scan's, but
+    count_checked is the (x + 1) * n**2 triples actually scanned, and
+    count_violations, min_slack and the other witnesses cover only x values
+    up to that x. A passing verdict is the full scan's either way.
     """
     ty = InequalityType.parse(ty)
-    return _scan(M, tol, [(ty, True)], max_witnesses)[0]
+    return _scan(M, tol, [(ty, True)], max_witnesses,
+                 stop_at_first_failure=stop_at_first_failure)[0]
 
 
 def check_strict(
@@ -283,18 +309,32 @@ def check_transition(
     if for_log_transform and not bool((E > 0).all()):
         return PropertyVerdict(Status.NOT_APPLICABLE, (), None, 0, 0)
     eps = tol.eps_ineq
+    low, high = float(E.min()), float(E.max())
+    top = max(-low, high)
     min_slack = math.inf
     violations = 0
     witnesses: list[ViolationWitness] = []
-    lhs, rhs, slack = np.empty((3, n, n))
+    lhs, rhs = np.empty((2, n, n))
     mask = np.empty((n, n), dtype=bool)
     for x in range(n):
+        d = float(E[x, x])
         np.copyto(lhs, E[x])
         np.multiply(lhs, E[:, x, None], out=lhs)  # s(y,x) * s(x,z)
-        np.multiply(E, E[x, x], out=rhs)  # s(y,z) * s(x,x)
-        m = float(np.subtract(rhs, lhs, out=slack).min())
+        np.multiply(E, d, out=rhs)  # s(y,z) * s(x,x)
+        m = float(np.subtract(rhs, lhs, out=rhs).min())
         if m < min_slack:
             min_slack = m
+        # Skip the mask when no triple at x can fail. Every rhs is >= 0 unless
+        # d and some entry have opposite signs, and rounding is monotone, so
+        # the bound fl(fl(rhs * (1 + eps)) + eps) is >= fl(rhs + eps), which
+        # lies within 2**-53 (rhs + eps) of rhs + eps for a normal eps. While
+        # every rhs <= eps * 2**50, a failing triple thus has rhs - lhs below
+        # -eps / 2, and otherwise below 0; its rounded slack is then <= floor.
+        # A NaN slack makes m NaN, which never exceeds floor.
+        floor = -0.5 * eps if eps >= 2.0**-1000 and top * abs(d) <= eps * 2.0**50 else 0.0
+        if m > floor and not (d > 0 > low or d < 0 < high):
+            continue
+        np.multiply(E, d, out=rhs)  # rhs held the slack; the witnesses need rhs itself
         np.greater(lhs, rhs * (1.0 + eps) + eps, out=mask)
         hits = int(np.count_nonzero(mask))
         if hits == 0:

@@ -103,13 +103,15 @@ def _require(M: LabeledMatrix, tol: ToleranceConfig, op: str, flag: str) -> None
     """Raise PreconditionError unless M has the classify flag ``flag``.
 
     The error names op, the first failing base flag and its witness. The
-    O(n^2) base flags are tested before the one n^3 scan, prequad_t.
+    O(n^2) base flags are tested before the one n^3 scan, prequad_t, which
+    stops at the first x whose slab fails.
     """
     for base in DERIVED_FLAGS.get(flag, (flag,)):
         if base in BASE_FLAGS:
             w = BASE_FLAGS[base](M, tol)
         else:
-            verdict = check_prequadrangle(M, InequalityType.TRANSITIVE, tol, max_witnesses=1)
+            verdict = check_prequadrangle(M, InequalityType.TRANSITIVE, tol, max_witnesses=1,
+                                          stop_at_first_failure=True)
             w = first_violation(verdict)
         if w is not None:
             raise PreconditionError(
@@ -143,7 +145,8 @@ def affine_gauge(M: LabeledMatrix, alpha: float, f: Mapping[str, float]) -> Labe
     """
     alpha = _check_positive_factor(alpha)
     g = _gauge_vector(M, f, "gauge f")
-    return LabeledMatrix(M.labels, (alpha * M.entries + g[:, None]) + g[None, :])
+    with np.errstate(over="ignore"):  # LabeledMatrix rejects an overflowed result
+        return LabeledMatrix(M.labels, (alpha * M.entries + g[:, None]) + g[None, :])
 
 
 def metrize(
@@ -176,7 +179,8 @@ def compose(
     """
     _require(d, tol, "compose", "difference_protometric")
     g = _gauge_vector(d, f, "gauge f")
-    return LabeledMatrix(d.labels, ((d.entries + g[:, None]) + g[None, :]) * 0.5)
+    with np.errstate(over="ignore"):  # LabeledMatrix rejects an overflowed result
+        return LabeledMatrix(d.labels, ((d.entries + g[:, None]) + g[None, :]) * 0.5)
 
 
 def decompose(p: LabeledMatrix, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Decomposition:
@@ -253,7 +257,10 @@ def specialization_preorder(
     labels = d.labels
     _require(d, tol, "specialization_preorder", "quasi_semi_metric")
     rel = E <= tol.eps_eq  # reflexive, since |d(x,x)| <= eps_eq was verified
-    reach2 = (rel.astype(np.int8) @ rel.astype(np.int8)) > 0  # two-step reachability
+    # Two-step reachability. The float32 products are 0 or 1, and a sum of
+    # nonnegative terms never rounds to 0, so this is exact for any n.
+    step = rel.astype(np.float32)
+    reach2 = (step @ step) > 0
     broken = reach2 & ~rel
     if bool(broken.any()):
         x, z = map(int, np.argwhere(broken)[0])

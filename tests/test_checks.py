@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protometrics import (
+    GenSpec,
     InequalityType,
     InputError,
     LabeledMatrix,
@@ -17,8 +18,11 @@ from protometrics import (
     check_strict,
     check_transition,
     check_triangle,
+    checks,
     classify,
     diagonal_bounds,
+    gen_protometric,
+    perturb_violation,
 )
 
 from oracles import LHS, additive_scan, diag_interval, strict_scan, transition_scan
@@ -174,6 +178,39 @@ def test_transition_failure():
     w = v.witnesses[0]
     assert w.lhs == 4.0
     assert w.rhs == 1.0
+
+
+def test_transition_negative_right_side_can_fail_at_nonnegative_slack():
+    # At (x, y, z) = (x1, x2, x1) both sides are 1 * -2 = -2, so every slack
+    # is >= 0, yet with eps 0.5 the tolerant bound -2 * 1.5 + 0.5 = -2.5 lies
+    # below lhs.
+    s = lm([[-2.0, -2.0], [1.0, 0.0]])
+    v = check_transition(s, ToleranceConfig(eps_ineq=0.5))
+    assert v.min_slack == 0.0
+    assert v.status is Status.FAIL
+    assert v.count_violations == len(transition_scan(s.entries.tolist(), eps=0.5)) == 1
+    assert (v.witnesses[0].x, v.witnesses[0].y, v.witnesses[0].z) == ("x1", "x2", "x1")
+
+
+def test_transition_nan_slack_does_not_hide_a_failure():
+    # At x = x1 the triple (x2, x2) gives inf - inf = NaN, which hides the
+    # slab minimum; the triple (x1, x2) still fails, and (x2, x1) at x = x2.
+    s = lm([[1.0, 2.0], [1e308, 1e308]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = check_transition(s, max_witnesses=10)
+    bad = transition_scan(s.entries.tolist())
+    assert v.count_violations == len(bad) == 2
+    idx = {lab: k for k, lab in enumerate(s.labels)}
+    assert [(idx[w.x], idx[w.y], idx[w.z]) for w in v.witnesses] == bad
+
+
+def test_transition_counts_a_violation_just_past_the_tolerance():
+    # s(x2,x1) * s(x1,x2) = 1 + 2.5e-9 against s(x2,x2) * s(x1,x1) = 1: the
+    # tolerant bound is 1 + 2e-9, so the triple fails by about half of eps.
+    s = lm([[1.0, 1.0 + 2.5e-9], [1.0, 1.0]])
+    v = check_transition(s)
+    assert v.count_violations == len(transition_scan(s.entries.tolist())) == 2
+    assert -3e-9 < v.min_slack < -2e-9
 
 
 def test_transition_not_applicable_for_log():
@@ -350,3 +387,62 @@ def test_zero_minimum_is_read_in_row_major_order():
                     assert repr(got.min_slack) == want
                     assert repr(check(m, ty, max_witnesses=1).min_slack) == want
     assert both_zeros
+
+
+@st.composite
+def early_exit_cases(draw):
+    """A matrix and a tolerance on which every sum is exact, so the oracle rounds alike.
+
+    Generated protometrics are on a grid of 2**-20 below 2**6, perturbations
+    add a dyadic magnitude, and unstructured matrices hold quarters.
+    """
+    n = draw(st.integers(1, 7))
+    source = draw(st.sampled_from(["generated", "perturbed", "unstructured"]))
+    if source == "unstructured":
+        cells = st.integers(-12, 12).map(lambda k: k / 4)
+        M = lm(np.array(draw(st.lists(cells, min_size=n * n, max_size=n * n))).reshape(n, n))
+    else:
+        ty = draw(st.sampled_from("oitc"))
+        M = gen_protometric(GenSpec(n, draw(st.integers(0, 2**16)), 4.0), ty,
+                            strict=draw(st.booleans()))
+        if source == "perturbed" and n > 1:
+            M = perturb_violation(M, ty, draw(st.sampled_from([2.0**-10, 0.5, 3.0])))
+    return M, ToleranceConfig(eps_ineq=draw(st.sampled_from([0.0, 1e-9, 0.25])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(early_exit_cases(), st.sampled_from(list(InequalityType)), st.integers(1, 3))
+def test_early_exit_keeps_the_status_and_first_witness(case, ty, cap):
+    M, tol = case
+    full = check_prequadrangle(M, ty, tol, max_witnesses=cap)
+    early = check_prequadrangle(M, ty, tol, max_witnesses=cap, stop_at_first_failure=True)
+    assert early.status is full.status
+    if full.status is Status.PASS:
+        assert repr(early) == repr(full)
+        return
+    assert repr(early.witnesses[0]) == repr(full.witnesses[0])
+    x = M.index(early.witnesses[0].x)
+    assert early.count_checked == (x + 1) * M.n**2
+    bad, _ = additive_scan(M.entries.tolist(), ty.value, True, tol.eps_ineq)
+    at_x = [t for t in bad if t[0] == x]
+    assert bad[0][0] == x
+    assert early.count_violations == len(at_x)
+    idx = {lab: k for k, lab in enumerate(M.labels)}
+    assert [(idx[w.x], idx[w.y], idx[w.z]) for w in early.witnesses] == at_x[:cap]
+
+
+@settings(max_examples=150, deadline=None)
+@given(early_exit_cases(), st.integers(1, 3))
+def test_early_exit_of_many_kinds_waits_for_every_kind_to_fail(case, cap):
+    M, tol = case
+    kinds = [(ty, self_term) for ty in InequalityType for self_term in (False, True)]
+    full = checks._scan(M, tol, kinds, cap)
+    early = checks._scan(M, tol, kinds, cap, stop_at_first_failure=True)
+    failing = [M.index(v.witnesses[0].x) for v in full if v.status is Status.FAIL]
+    scanned = max(failing) + 1 if len(failing) == len(kinds) else M.n
+    for want, got in zip(full, early):
+        assert got.status is want.status
+        assert got.witnesses[:1] == want.witnesses[:1]
+        assert got.count_checked == scanned * M.n**2
+        if scanned == M.n:
+            assert repr(got) == repr(want)

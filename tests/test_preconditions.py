@@ -30,6 +30,7 @@ from protometrics import (
     min_farris_constant,
     potential_of,
     specialization_preorder,
+    transforms,
     zero_coordinates,
 )
 from protometrics.cli import main
@@ -159,9 +160,9 @@ def scans(monkeypatch):
     calls = []
     real = checks._scan
 
-    def counted(M, tol, kinds, max_witnesses):
+    def counted(M, tol, kinds, max_witnesses, **options):
         calls.append(list(kinds))
-        return real(M, tol, kinds, max_witnesses)
+        return real(M, tol, kinds, max_witnesses, **options)
 
     monkeypatch.setattr(checks, "_scan", counted)
     monkeypatch.setattr(sys.modules["protometrics.classify"], "_scan", counted)
@@ -209,3 +210,30 @@ def test_reject_on_a_pair_flag_scans_nothing(scans):
     for name in ("compose", "preorder", "potential", "zerocoords"):
         assert rejection(GUARDED[name][0], nonzero_diagonal, tol) is not None
     assert scans == []
+
+
+def test_rejection_at_the_first_x_scans_one_slab(monkeypatch):
+    n = 30
+    E = gen_protometric(GenSpec(n, 4)).entries.copy()
+    E[1, 2] += 100.0  # breaks the type-t pre-quadrangle inequality at x = x1
+    M = LabeledMatrix(auto_labels(n), E)
+    w = checks.first_violation(checks.check_prequadrangle(M, "t", max_witnesses=1))
+    verdicts = []
+    real = transforms.check_prequadrangle
+
+    def recorded(*args, **kwargs):
+        verdicts.append(real(*args, **kwargs))
+        return verdicts[-1]
+
+    monkeypatch.setattr(transforms, "check_prequadrangle", recorded)
+    with pytest.raises(PreconditionError) as ei:
+        metrize(M, 1.0)
+    assert [v.count_checked for v in verdicts] == [n * n]
+    assert ei.value.witness == w
+    assert str(ei.value) == (
+        f"metrize needs prequad_t, but prequad_t fails at (x={w.x!r}, y={w.y!r}, z={w.z!r}): "
+        f"lhs={w.lhs!r}, rhs={w.rhs!r}"
+    )
+    # Every other caller still scans all triples.
+    assert checks.check_prequadrangle(M, "t").count_checked == n**3
+    assert classify(M).prequadrangle[InequalityType.TRANSITIVE].count_checked == n**3

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from protometrics import (
     InputError,
@@ -28,6 +30,8 @@ from protometrics import (
     transpose,
     zero_coordinates,
 )
+
+from oracles import preorder_structure
 
 PATH = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
 HDIFF = [[0.0, -1.0, -3.0], [1.0, 0.0, -2.0], [3.0, 2.0, 0.0]]
@@ -272,6 +276,53 @@ def test_preorder_preconditions():
     skew = lm([[0.0, 0.0, 3.0], [0.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     with pytest.raises(PreconditionError, match="needs quasi_semi_metric, but prequad_t fails"):
         specialization_preorder(skew)
+
+
+@pytest.mark.parametrize("k", [127, 128, 256])
+def test_preorder_transitivity_counts_any_number_of_middle_points(k):
+    # x1 <= y <= z for each of the k middle points y, but d(x1, z) > eps_eq.
+    # Within eps_ineq this is a quasi-semi-metric, and k >= 128 used to wrap
+    # an 8-bit count of the middle points to <= 0.
+    n = k + 2
+    z = k + 1
+    E = np.ones((n, n))
+    np.fill_diagonal(E, 0.0)
+    E[0, 1:z] = E[1:z, z] = 0.9e-9
+    E[0, z] = 1.5e-9
+    d = lm(E)
+    assert classify(d).quasi_semi_metric
+    with pytest.raises(TransitivityError, match=f"'x1' <= 'x2' <= 'x{n}' but"):
+        specialization_preorder(d)
+
+
+@st.composite
+def near_preorders(draw):
+    """A zero-diagonal matrix whose entries sit near eps_eq = 1e-9 or far above it."""
+    n = draw(st.integers(1, 7))
+    near = st.sampled_from([0.0, 4e-10, 9e-10, 1.5e-9])
+    far = st.sampled_from([0.0, 9e-10, 1.0])
+    E = np.array(draw(st.lists(draw(st.sampled_from([near, far])), min_size=n * n,
+                               max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(E, 0.0)
+    return lm(E)
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_preorders())
+def test_preorder_matches_the_oracle(d):
+    try:
+        got = specialization_preorder(d)
+    except TransitivityError:
+        got = None
+    except PreconditionError:
+        return
+    pairs, defects, classes, order = preorder_structure(d.entries.tolist())
+    assert (got is None) == bool(defects)
+    if got is not None:
+        name = d.labels
+        assert got.relation == tuple((name[x], name[y]) for x, y in pairs)
+        assert got.classes == tuple(tuple(name[m] for m in c) for c in classes)
+        assert got.quotient_order == tuple((name[x], name[y]) for x, y in order)
 
 
 def test_preorder_transitivity_guard():
