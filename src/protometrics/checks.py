@@ -81,8 +81,8 @@ class PropertyVerdict:
 
     min_slack is the smallest lhs - rhs over every checked instance (None
     when nothing was checked). For the additive checkers, status is PASS
-    exactly when min_slack >= -eps_ineq and FAIL exactly when at least one
-    witness was found.
+    exactly when ToleranceConfig.ineq_fails(min_slack) is false and FAIL
+    exactly when at least one witness was found.
     """
 
     status: Status
@@ -104,25 +104,19 @@ def _validate_cap(max_witnesses: int) -> None:
 
 
 _O, _I, _T, _C = InequalityType
-# The two entries summed on the left side of each inequality type at (x, y, z).
-_LHS = {
-    _O: lambda x, y, z: ((x, y), (x, z)),
-    _I: lambda x, y, z: ((y, x), (z, x)),
-    _T: lambda x, y, z: ((y, x), (x, z)),
-    _C: lambda x, y, z: ((z, x), (x, y)),
-}
+# The type-ty left side at (x, y, z) is a[y] + b[z], where a and b each read
+# the column d(., x) (True) or the row d(x, .) (False).
+_READS_COLUMN = {_O: (False, False), _I: (True, True), _T: (True, False), _C: (False, True)}
 
 
 def _slab(E: np.ndarray, x: int, ty: InequalityType, out: np.ndarray) -> np.ndarray:
     """Write the type-ty triangle slack lhs(x,y,z) - d(y,z) at x into ``out``, indexed [y, z].
 
-    The left side is the outer sum a[y] + b[z] of the row d(x, .) and the
-    column d(., x). b is copied into every row and a added down the columns,
-    so ``out`` is written row-major; addition commutes, so a + b = b + a.
+    b is copied into every row of ``out`` and a added down the columns, so
+    ``out`` is written row-major; addition commutes, so a + b = b + a.
     """
     row, col = E[x], np.ascontiguousarray(E[:, x])
-    a = col if ty is _I or ty is _T else row
-    b = col if ty is _I or ty is _C else row
+    a, b = (col if c else row for c in _READS_COLUMN[ty])
     np.copyto(out, b)
     np.add(out, a[:, None], out=out)
     return np.subtract(out, E, out=out)
@@ -163,7 +157,6 @@ def _scan(
     E = M.entries
     n = M.n
     labels = M.labels
-    eps = tol.eps_ineq
     by_type = {ty: [k for k, kind in enumerate(kinds) if kind[0] is ty] for ty, _ in kinds}
     S = np.empty((n, n))
     mask = np.empty((n, n), dtype=bool)
@@ -183,20 +176,20 @@ def _scan(
                 m = low - d if kinds[k][1] else low
                 if m < mins[k]:
                     mins[k] = m
-                if m < -eps:
+                if tol.ineq_fails(m):
                     groups[bool(kinds[k][1] and d)].append(k)
             for shifted, group in enumerate(groups):
                 if not group:
                     continue
                 if shifted:  # the last use of S at this x
                     np.subtract(S, d, out=S)
-                count = int(np.count_nonzero(np.less(S, -eps, out=mask)))
+                count = int(np.count_nonzero(tol.ineq_fails(S, out=mask)))
                 at = _leading_hits(mask, max(max_witnesses - len(found[k]) for k in group))
                 for k in group:
                     violations[k] += count
                     for y, z in at[: max_witnesses - len(found[k])]:
-                        p, q = _LHS[ty](x, y, z)
-                        lhs = float(E[p]) + float(E[q])
+                        a, b = (E[:, x] if c else E[x] for c in _READS_COLUMN[ty])
+                        lhs = float(a[y]) + float(b[z])
                         rhs = float(E[y, z])
                         s = lhs - rhs
                         if kinds[k][1]:
@@ -256,7 +249,8 @@ def check_strict(
     """Check strictness of the degenerate (z = y, y != x) pre-quadrangle instances.
 
     For type t this reads p(y,x) + p(x,y) > p(y,y) + p(x,x) for every pair of
-    distinct points; passing requires lhs - rhs > eps_strict on each pair.
+    distinct points; each pair passes unless strict_fails(lhs - rhs), so a
+    NaN slack fails.
     Witnesses record the failing pair with z = y. With a single point there
     is nothing to check and the verdict passes vacuously.
     """
@@ -265,17 +259,13 @@ def check_strict(
     E = M.entries
     n = M.n
     labels = M.labels
-    if ty is InequalityType.OUTGOING:
-        lhs = E + E  # 2 p(x,y)
-    elif ty is InequalityType.INCOMING:
-        lhs = E.T + E.T  # 2 p(y,x)
-    else:  # TRANSITIVE and CYCLIC both reduce to p(y,x) + p(x,y)
-        lhs = E.T + E
+    a, b = (E.T if c else E for c in _READS_COLUMN[ty])
+    lhs = a + b  # a[y] + b[y] at x, the left side at z = y
     diag = np.diagonal(E)
     rhs = diag[None, :] + diag[:, None]  # p(y,y) + p(x,x)
     slack = lhs - rhs
     off = ~np.eye(n, dtype=bool)
-    mask = off & (slack <= tol.eps_strict)
+    mask = off & tol.strict_fails(slack)
     witnesses = [
         ViolationWitness(labels[x], labels[y], labels[y], float(lhs[x, y]), float(rhs[x, y]),
                          -float(slack[x, y]))
@@ -308,7 +298,6 @@ def check_transition(
     labels = M.labels
     if for_log_transform and not bool((E > 0).all()):
         return PropertyVerdict(Status.NOT_APPLICABLE, (), None, 0, 0)
-    eps = tol.eps_ineq
     low, high = float(E.min()), float(E.max())
     top = max(-low, high)
     min_slack = math.inf
@@ -330,13 +319,14 @@ def check_transition(
         # lies within 2**-53 (rhs + eps) of rhs + eps for a normal eps. While
         # every rhs <= eps * 2**50, a failing triple thus has rhs - lhs below
         # -eps / 2, and otherwise below 0; its rounded slack is then <= floor.
-        # A NaN slack makes m NaN, which never exceeds floor.
-        floor = -0.5 * eps if eps >= 2.0**-1000 and top * abs(d) <= eps * 2.0**50 else 0.0
+        # A NaN slack makes m NaN, which never exceeds floor. eps is eps_ineq:
+        # the floor is a proof about transition_fails, not a tolerance rule.
+        small = tol.eps_ineq >= 2.0**-1000 and top * abs(d) <= tol.eps_ineq * 2.0**50
+        floor = -0.5 * tol.eps_ineq if small else 0.0
         if m > floor and not (d > 0 > low or d < 0 < high):
             continue
         np.multiply(E, d, out=rhs)  # rhs held the slack; the witnesses need rhs itself
-        np.greater(lhs, rhs * (1.0 + eps) + eps, out=mask)
-        hits = int(np.count_nonzero(mask))
+        hits = int(np.count_nonzero(tol.transition_fails(lhs, rhs, out=mask)))
         if hits == 0:
             continue
         violations += hits
@@ -379,11 +369,9 @@ def diagonal_bounds(
         hi = (E + E.T).min(axis=1)
     out = []
     for i, label in enumerate(M.labels):
-        interval = Interval(
-            lo=float(lo[i]),
-            hi=float(hi[i]),
-            nonempty=bool(lo[i] <= hi[i] + tol.eps_eq),
-        )
+        # Interval.contains widens [lo, hi] by eps_eq: nonempty when it holds lo.
+        bounds = Interval(float(lo[i]), float(hi[i]), nonempty=True)
+        interval = Interval(bounds.lo, bounds.hi, bounds.contains(bounds.lo, tol.eps_eq))
         out.append((label, interval, interval.contains(float(diag[i]), tol.eps_eq)))
     return out
 
@@ -420,27 +408,26 @@ def _entry(E: np.ndarray, x: int, y: int) -> tuple[float, float]:
 
 def _symmetric(M: LabeledMatrix, tol: ToleranceConfig) -> ViolationWitness | None:
     E = M.entries
-    return _first_pair(M, np.abs(E - E.T) > tol.eps_eq, lambda E, x, y: (E[x, y], E[y, x]))
+    return _first_pair(M, tol.eq_fails(E - E.T), lambda E, x, y: (E[x, y], E[y, x]))
 
 
 def _nonnegative(M: LabeledMatrix, tol: ToleranceConfig) -> ViolationWitness | None:
-    return _first_pair(M, M.entries < -tol.eps_ineq, _entry)
+    return _first_pair(M, tol.ineq_fails(M.entries), _entry)
 
 
 def _zero_diagonal(M: LabeledMatrix, tol: ToleranceConfig) -> ViolationWitness | None:
-    return _first_pair(M, np.diag(np.abs(np.diagonal(M.entries)) > tol.eps_eq), _entry)
+    return _first_pair(M, np.diag(tol.eq_fails(np.diagonal(M.entries))), _entry)
 
 
 def _identity_of_indiscernibles(M: LabeledMatrix, tol: ToleranceConfig) -> ViolationWitness | None:
     # Zero diagonal, and every pair of distinct points at |d| > eps_strict.
-    A = np.abs(M.entries)
+    E = M.entries
     off = ~np.eye(M.n, dtype=bool)
-    return _first_pair(M, np.where(off, A <= tol.eps_strict, A > tol.eps_eq), _entry)
+    return _first_pair(M, np.where(off, tol.strict_fails(np.abs(E)), tol.eq_fails(E)), _entry)
 
 
 def _zero_protometric(M: LabeledMatrix, tol: ToleranceConfig) -> ViolationWitness | None:
-    # Written as not(<=) so that a NaN from overflowing sums fails.
-    bad = ~(np.abs(degenerate_pairs(M.entries)) <= tol.eps_eq)
+    bad = tol.eq_fails(degenerate_pairs(M.entries))  # a NaN from overflowing sums fails
     return _first_pair(M, bad, lambda E, x, y: (E[x, y] + E[y, x], E[x, x] + E[y, y]))
 
 
@@ -448,7 +435,7 @@ def _potential_difference(M: LabeledMatrix, tol: ToleranceConfig) -> ViolationWi
     # d(x,y) = h(x) - h(y) with h(x) = d(x, ref), ref the first label.
     E = M.entries
     h = E[:, 0]
-    bad = np.abs((E - h[:, None]) + h[None, :]) > tol.eps_eq
+    bad = tol.eq_fails((E - h[:, None]) + h[None, :])
     return _first_pair(M, bad, lambda E, x, y: (E[x, y], E[x, 0] - E[y, 0]))
 
 

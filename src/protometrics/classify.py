@@ -116,7 +116,7 @@ def classify(
     flags["strict_protometric"] = flags["prequad_t"] and strictness.status is Status.PASS
     flags["symmetric_protometric"] = all(v.status is Status.PASS for v in prequad.values())
     flags["weak_partial_pseudo_metric"] = (
-        flags["symmetric_protometric"] and float(np.diagonal(M.entries).min()) >= -tol.eps_ineq
+        flags["symmetric_protometric"] and not tol.ineq_fails(float(np.diagonal(M.entries).min()))
     )
     return ClassificationReport(
         **flags, triangle=triangle, prequadrangle=prequad, strictness=strictness

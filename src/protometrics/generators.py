@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import _slab, check_prequadrangle, first_violation
+from .checks import _READS_COLUMN, _slab, check_prequadrangle, first_violation
 from .errors import InputError, PreconditionError
 from .matrix import (
     DEFAULT_TOLERANCE,
@@ -153,7 +153,7 @@ def _closed(rng: SplitMix64, n: int, scale: float, symmetric: bool) -> np.ndarra
         E = _closure(E)
         if n == 1:
             return E
-        if float(E[off].min()) > DEFAULT_TOLERANCE.eps_strict:
+        if not DEFAULT_TOLERANCE.strict_fails(float(E[off].min())):
             return E
     raise InputError(f"scale {scale!r} is too small to keep distances away from zero")
 
@@ -244,14 +244,15 @@ def perturb_violation(
     magnitude = float(magnitude)
     if not (np.isfinite(magnitude) and magnitude > 0):
         raise InputError(f"magnitude must be finite and > 0, got {magnitude!r}")
-    if magnitude <= tol.eps_ineq:
+    if not tol.ineq_fails(-magnitude):  # a deficit of magnitude must be detected
         raise InputError(
             f"magnitude {magnitude!r} must exceed eps_ineq {tol.eps_ineq!r} "
             "to guarantee a detectable violation"
         )
     if M.n < 2:
         raise InputError("perturbation needs at least two points")
-    w = first_violation(check_prequadrangle(M, ty, tol, max_witnesses=1))
+    verdict = check_prequadrangle(M, ty, tol, max_witnesses=1, stop_at_first_failure=True)
+    w = first_violation(verdict)
     if w is not None:
         raise PreconditionError(
             f"matrix already fails the type-{ty.value} pre-quadrangle check at "
@@ -261,17 +262,17 @@ def perturb_violation(
     E = M.entries
     n = M.n
     diagonal = np.eye(n, dtype=bool)
+    a_col, b_col = _READS_COLUMN[ty]
     slack = np.empty((n, n))
     best = []  # per x: (slack, target-is-diagonal, x, y, z) of its first best triple
     for x in range(n):
         np.subtract(_slab(E, x, ty, slack), E[x, x], out=slack)
         # Raising p(y,z) raises the right side only, unless (y,z) is also a
-        # left-side slot; the inequality then holds identically.
+        # left-side slot; the inequality then holds identically. Such slots are
+        # a[y] = d(y,x) at z = x, b[z] = d(x,z) at y = x, and (x, x).
         free = np.ones((n, n), dtype=bool)
-        if ty in (InequalityType.OUTGOING, InequalityType.TRANSITIVE):
-            free[x, :] = False
-        if ty in (InequalityType.INCOMING, InequalityType.TRANSITIVE):
-            free[:, x] = False
+        free[:, x] = not a_col
+        free[x, :] = b_col
         free[x, x] = False
         ties = free & (slack == slack[free].min())
         off = ties & ~diagonal

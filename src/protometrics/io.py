@@ -232,17 +232,7 @@ def _verdict_obj(v: PropertyVerdict) -> dict:
         "min_slack": v.min_slack,
         "count_checked": v.count_checked,
         "count_violations": v.count_violations,
-        "witnesses": [
-            {
-                "x": w.x,
-                "y": w.y,
-                "z": w.z,
-                "lhs": w.lhs,
-                "rhs": w.rhs,
-                "deficit": w.deficit,
-            }
-            for w in v.witnesses
-        ],
+        "witnesses": [vars(w) for w in v.witnesses],  # x, y, z, lhs, rhs, deficit
     }
 
 

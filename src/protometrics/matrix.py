@@ -53,10 +53,10 @@ class InequalityType(enum.Enum):
 
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Absolute comparison tolerances.
+    """Comparison tolerances, each applied by one rule below.
 
-    An inequality a >= b passes iff a >= b - eps_ineq, equality holds iff
-    |a - b| <= eps_eq, and strictness a > b requires a - b > eps_strict.
+    A rule takes what a check compares and returns where the check fails: a
+    bool for a float, an elementwise mask for an array, written into ``out``.
     """
 
     eps_ineq: float = 1e-9
@@ -70,6 +70,27 @@ class ToleranceConfig:
                 raise InputError(f"{name} must be a real number, got {v!r}")
             if not (math.isfinite(v) and v >= 0):
                 raise InputError(f"{name} must be finite and nonnegative, got {v!r}")
+
+    def ineq_fails(self, slack, out=None):
+        """a >= b, with slack a - b, fails when slack < -eps_ineq.
+
+        A NaN would pass, but no slack is NaN: two finite floats summed, less one
+        or two more, keep the one infinity they may overflow to. A float is
+        compared without numpy, whose call on a scalar costs about 1 us.
+        """
+        return slack < -self.eps_ineq if out is None else np.less(slack, -self.eps_ineq, out=out)
+
+    def eq_fails(self, delta, out=None):
+        """a = b, with delta a - b, fails unless |delta| <= eps_eq; a NaN fails."""
+        return np.logical_not(np.less_equal(np.abs(delta), self.eps_eq, out=out), out=out)
+
+    def strict_fails(self, slack, out=None):
+        """a > b, with slack a - b, fails unless slack > eps_strict; a NaN fails."""
+        return np.logical_not(np.greater(slack, self.eps_strict, out=out), out=out)
+
+    def transition_fails(self, lhs, rhs, out=None):
+        """lhs <= rhs fails when lhs > rhs * (1 + eps_ineq) + eps_ineq; a NaN passes."""
+        return np.greater(lhs, rhs * (1.0 + self.eps_ineq) + self.eps_ineq, out=out)
 
 
 DEFAULT_TOLERANCE = ToleranceConfig()

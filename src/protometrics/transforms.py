@@ -214,13 +214,13 @@ def zero_coordinates(
     labels = p.labels
     a = E[:, 0]
     b = E[0, :] - E[0, 0]
-    resid = np.abs(E - (a[:, None] + b[None, :]))
-    bad = resid > tol.eps_eq
+    resid = E - (a[:, None] + b[None, :])
+    bad = tol.eq_fails(resid)
     if bool(bad.any()):
         i, j = map(int, np.argwhere(bad)[0])
         raise PreconditionError(
             "zero_coordinates: entries are not separable as a(x) + b(y); "
-            f"residual {float(resid[i, j])!r} at ({labels[i]!r}, {labels[j]!r})"
+            f"residual {abs(float(resid[i, j]))!r} at ({labels[i]!r}, {labels[j]!r})"
         )
     return ZeroCoordinates(
         a={l: float(a[i]) for i, l in enumerate(labels)},
@@ -256,6 +256,7 @@ def specialization_preorder(
     n = d.n
     labels = d.labels
     _require(d, tol, "specialization_preorder", "quasi_semi_metric")
+    # One-sided, not eq_fails: x <= y also when d(x,y) < -eps_eq, as eps_ineq allows.
     rel = E <= tol.eps_eq  # reflexive, since |d(x,x)| <= eps_eq was verified
     # Two-step reachability. The float32 products are 0 or 1, and a sum of
     # nonnegative terms never rounds to 0, so this is exact for any n.

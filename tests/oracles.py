@@ -63,13 +63,13 @@ def perturb_target(E, ty):
 
 
 def strict_scan(E, ty, eps_strict=1e-9):
-    """Pairs (x, y), x != y, where the z = y instance is not strict."""
+    """Pairs (x, y), x != y, where the z = y instance is not strict; a NaN slack is not."""
     n = len(E)
     lhs = LHS[ty]
     bad = []
     for x in range(n):
         for y in range(n):
-            if y != x and lhs(E, x, y, y) - (E[y][y] + E[x][x]) <= eps_strict:
+            if y != x and not lhs(E, x, y, y) - (E[y][y] + E[x][x]) > eps_strict:
                 bad.append((x, y))
     return bad
 

@@ -160,6 +160,18 @@ def test_strict_boundary_is_a_failure(ty):
     assert check_strict(q, ty).status is Status.PASS
 
 
+def test_strict_nan_slack_is_a_failure():
+    # Both sides overflow, 2e308 to inf, so the slack is inf - inf = NaN. The
+    # exact slack is 0, which is not strict, and a NaN must not pass.
+    m = lm(np.full((2, 2), 1e308))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = check_strict(m, "t")
+        report = classify(m)
+    assert v.status is Status.FAIL and v.count_violations == 2
+    assert math.isnan(v.min_slack)
+    assert report.prequad_t and not report.strict_protometric
+
+
 def test_transition_equality_cases():
     ones = lm(np.ones((3, 3)))
     v = check_transition(ones)

@@ -21,11 +21,14 @@ from protometrics import (
     gen_protometric,
     gen_quasi_semi_metric,
     gen_zero_protometric,
+    generators,
     metrize,
     perturb_violation,
     shortest_path_closure,
     zero_coordinates,
 )
+
+from protometrics.checks import first_violation
 
 from oracles import generated, minplus_closure, perturb_target, splitmix64
 
@@ -279,9 +282,26 @@ def test_perturb_rejects_bad_magnitude():
         perturb_violation(m, "t", 1e-9)
 
 
-def test_perturb_needs_two_points_and_a_passing_input():
+def test_perturb_needs_two_points_and_a_passing_input(monkeypatch):
     with pytest.raises(InputError, match="two points"):
         perturb_violation(lm([[0.0]]), "t", 1.0)
     failing = lm([[0.0, -3.0], [1.0, 0.0]])
     with pytest.raises(PreconditionError, match="already fails"):
         perturb_violation(failing, "t", 1.0)
+    scanned = []
+
+    def spy(*args, **kwargs):
+        verdict = check_prequadrangle(*args, **kwargs)
+        scanned.append(verdict.count_checked)
+        return verdict
+
+    monkeypatch.setattr(generators, "check_prequadrangle", spy)
+    for ty in "oitc":
+        broken = perturb_violation(gen_protometric(GenSpec(6, 11), ty), ty, 1.0)
+        for M in (failing, broken):
+            first = first_violation(check_prequadrangle(M, ty))
+            with pytest.raises(PreconditionError) as err:
+                perturb_violation(M, ty, 1.0)
+            assert first is not None and err.value.witness == first
+            # The rejection scans the slabs up to the x of its witness, not all n^3 triples.
+            assert scanned[-1] == (M.labels.index(first.x) + 1) * M.n**2

@@ -119,6 +119,49 @@ def test_tolerance_defaults():
     assert tol.eps_ineq == 1e-9
     assert tol.eps_eq == 1e-9
     assert tol.eps_strict == 1e-9
+    # Each rule at its boundary, at the default tolerances.
+    assert not tol.ineq_fails(-1e-9) and tol.ineq_fails(-2e-9)
+    assert not tol.eq_fails(1e-9) and not tol.eq_fails(-1e-9) and tol.eq_fails(2e-9)
+    assert tol.strict_fails(1e-9) and not tol.strict_fails(2e-9)
+    assert not tol.transition_fails(1.0 + 2e-9, 1.0) and tol.transition_fails(1.0 + 3e-9, 1.0)
+
+
+# (rule, operands at the boundary, whether that fails) with eps_ineq 0.25,
+# eps_eq 0.5 and eps_strict 0.125, where every bound is exact in binary.
+RULES = [
+    ("ineq_fails", (-0.25,), False),
+    ("ineq_fails", (-0.3125,), True),
+    ("eq_fails", (0.5,), False),
+    ("eq_fails", (-0.5,), False),
+    ("eq_fails", (0.5625,), True),
+    ("strict_fails", (0.125,), True),
+    ("strict_fails", (0.1875,), False),
+    ("transition_fails", (1.5, 1.0), False),  # 1.0 * 1.25 + 0.25
+    ("transition_fails", (1.5625, 1.0), True),
+    # A NaN: the additive rule would pass one, which no finite slack produces,
+    # equality and strictness fail it, and the transition rule passes it.
+    ("ineq_fails", (math.nan,), False),
+    ("eq_fails", (math.nan,), True),
+    ("strict_fails", (math.nan,), True),
+    ("transition_fails", (math.nan, 1.0), False),
+    ("transition_fails", (1.0, math.nan), False),
+]
+
+
+@pytest.mark.parametrize("rule, operands, fails", RULES)
+def test_tolerance_rules(rule, operands, fails):
+    test = getattr(ToleranceConfig(eps_ineq=0.25, eps_eq=0.5, eps_strict=0.125), rule)
+    assert test(*operands) == fails
+    # A one-element array gives the same answer, as does a mask written into out.
+    arrays = [np.array([v]) for v in operands]
+    assert test(*arrays).tolist() == [fails]
+    out = np.zeros(1, dtype=bool)
+    assert test(*arrays, out=out) is out and out.tolist() == [fails]
+
+
+def test_tolerance_inequality_rule_on_a_float_stays_in_python():
+    # The scans call it once per x-slab minimum, where a numpy call costs more.
+    assert type(ToleranceConfig().ineq_fails(-1.0)) is bool
 
 
 @pytest.mark.parametrize("kw", [
