@@ -8,15 +8,26 @@ vectorized one x-slab at a time so memory stays O(n^2) while the scan order
 remains row-major in (x, y, z).
 
 The triangle and pre-quadrangle checks of all four types share one pass
-over x (``_scan``). Per x it builds the slack of each requested type in
-turn, in one reused (n, n) buffer indexed [y, z] (``_slab``): an outer sum
-of the row d(x, .) and the column d(., x), written row-major, minus d(y, z).
+over x (``_scan``). Per x it builds a slab in one reused (n, n) buffer
+indexed [y, z] (``_slack``): the outer sum a[y] + b[z], written row-major,
+minus d(y, z), where a and b are each the row d(x, .) or the column d(., x).
 Each slab is read in (y, z) order, which also fixes which zero its minimum
-is when it holds both 0.0 and -0.0. A pre-quadrangle slack is its triangle
-slack minus d(x, x). Rounding is monotone, so the minimum of fl(s - d(x,x))
-is exactly fl(min s - d(x,x)), and that number tells whether any entry is
-below -eps_ineq. Only then is the violation mask filled, in one reused
-buffer, and once for both forms of a type when d(x, x) is zero. Witnesses
+is when it holds both 0.0 and -0.0. Two rules build each distinct slab once:
+
+- The types differ only in whether a[y] and b[z] read the row or the
+  column (``_READS_COLUMN``). Where row x equals column x bit for bit, as
+  at every point of a symmetric matrix, the four types read the same
+  arrays, so one slab serves every requested (type, form) pair. Bits are
+  compared, not values, so 0.0 and -0.0 differ.
+- A pre-quadrangle slack is its triangle slack minus d(x, x), and the slab
+  is never changed after its minimum. Rounding is monotone, so the minimum
+  of fl(s - d(x,x)) is exactly fl(min s - d(x,x)), which tells whether any
+  entry fails, and fl(s - d(x,x)) fails exactly where s lies below
+  ``ToleranceConfig.ineq_threshold(d(x,x))``. The triangle forms fail below
+  -eps_ineq, which is also that bound for a zero d(x, x).
+
+Only when a pair fails is the violation mask filled, in one reused buffer,
+once per distinct bound for all the failing pairs of the slab. Witnesses
 come from its leading rows, recomputed as scalar sums in the same order.
 """
 
@@ -110,13 +121,17 @@ _READS_COLUMN = {_O: (False, False), _I: (True, True), _T: (True, False), _C: (F
 
 
 def _slab(E: np.ndarray, x: int, ty: InequalityType, out: np.ndarray) -> np.ndarray:
-    """Write the type-ty triangle slack lhs(x,y,z) - d(y,z) at x into ``out``, indexed [y, z].
+    """Write the type-ty triangle slack lhs(x,y,z) - d(y,z) at x into ``out``, indexed [y, z]."""
+    row, col = E[x], np.ascontiguousarray(E[:, x])
+    return _slack(E, *(col if c else row for c in _READS_COLUMN[ty]), out)
+
+
+def _slack(E: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write a[y] + b[z] - d(y,z) into ``out``, indexed [y, z].
 
     b is copied into every row of ``out`` and a added down the columns, so
     ``out`` is written row-major; addition commutes, so a + b = b + a.
     """
-    row, col = E[x], np.ascontiguousarray(E[:, x])
-    a, b = (col if c else row for c in _READS_COLUMN[ty])
     np.copyto(out, b)
     np.add(out, a[:, None], out=out)
     return np.subtract(out, E, out=out)
@@ -166,29 +181,36 @@ def _scan(
     scanned = n
     for x in range(n):
         d = float(E[x, x])
-        for ty, ks in by_type.items():
-            low = float(_slab(E, x, ty, S).min())
-            # The pairs failing at x, by the slack they compare: S, or S - d(x,x).
-            # A zero d(x,x) changes no comparison, so both forms then share a mask.
-            groups: tuple[list[int], list[int]] = ([], [])
+        row, col = E[x], np.ascontiguousarray(E[:, x])
+        slabs = by_type
+        # Where row x equals column x bit for bit, every type reads the same operands.
+        if len(by_type) > 1 and row.tobytes() == col.tobytes():
+            slabs = {kinds[0][0]: range(len(kinds))}
+        cut = None  # tol.ineq_threshold(d), found at the first failing pre-quadrangle pair
+        for ty, ks in slabs.items():
+            a, b = (col if c else row for c in _READS_COLUMN[ty])
+            low = float(_slack(E, a, b, S).min())
+            # The pairs failing at x, by the bound that S falls below where they
+            # fail: -eps_ineq for S, ineq_threshold(d) for S - d(x,x). Equal
+            # bounds share a mask, as both forms do when d(x,x) is zero.
+            groups: dict[float, list[int]] = {}
             for k in ks:
+                self_term = kinds[k][1]
                 # Rounding is monotone, so min(fl(s - d)) = fl(min(s) - d).
-                m = low - d if kinds[k][1] else low
+                m = low - d if self_term else low
                 if m < mins[k]:
                     mins[k] = m
                 if tol.ineq_fails(m):
-                    groups[bool(kinds[k][1] and d)].append(k)
-            for shifted, group in enumerate(groups):
-                if not group:
-                    continue
-                if shifted:  # the last use of S at this x
-                    np.subtract(S, d, out=S)
-                count = int(np.count_nonzero(tol.ineq_fails(S, out=mask)))
+                    if self_term and cut is None:
+                        cut = tol.ineq_threshold(d)
+                    groups.setdefault(cut if self_term else -tol.eps_ineq, []).append(k)
+            for bound, group in groups.items():
+                count = int(np.count_nonzero(np.less(S, bound, out=mask)))
                 at = _leading_hits(mask, max(max_witnesses - len(found[k]) for k in group))
                 for k in group:
                     violations[k] += count
                     for y, z in at[: max_witnesses - len(found[k])]:
-                        a, b = (E[:, x] if c else E[x] for c in _READS_COLUMN[ty])
+                        a, b = (E[:, x] if c else E[x] for c in _READS_COLUMN[kinds[k][0]])
                         lhs = float(a[y]) + float(b[z])
                         rhs = float(E[y, z])
                         s = lhs - rhs

@@ -1,4 +1,4 @@
-"""Exception types.
+"""Exception types, and the type check of a scalar argument that raises one.
 
 Two families matter downstream: InputError for structurally bad usage
 (malformed text, unknown labels, invalid parameters) and PreconditionError
@@ -52,3 +52,17 @@ class TransitivityError(PreconditionError):
     equality tolerance is inconsistent with the inequality tolerance for
     the given data.
     """
+
+
+def _real_number(what: str, value) -> float:
+    """``value`` as a float, or InputError unless it is an int or a float.
+
+    A bool is rejected, and so is an int too large for a float, which float()
+    would raise OverflowError on. Range checks are left to the caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise InputError(f"{what} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise InputError(f"{what} is an integer too large for a float") from None

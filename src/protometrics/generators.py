@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import _READS_COLUMN, _slab, check_prequadrangle, first_violation
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, _real_number
 from .matrix import (
     DEFAULT_TOLERANCE,
     InequalityType,
@@ -111,10 +111,8 @@ class GenSpec:
             raise InputError(f"seed must be an integer, got {self.seed!r}")
         if not (0 <= self.seed < (1 << 64)):
             raise InputError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
-        if isinstance(self.scale, bool) or not isinstance(self.scale, (int, float)):
-            raise InputError(f"scale must be a real number, got {self.scale!r}")
         # No generator sums more than three drawn magnitudes, so 2**1021 cannot overflow.
-        if not 0 < self.scale <= _MAX_SCALE:
+        if not 0 < _real_number("scale", self.scale) <= _MAX_SCALE:
             raise InputError(f"scale must be > 0 and at most 2**1021, got {self.scale!r}")
 
 
@@ -239,9 +237,7 @@ def perturb_violation(
     types may or may not fail.
     """
     ty = InequalityType.parse(ty)
-    if isinstance(magnitude, bool) or not isinstance(magnitude, (int, float)):
-        raise InputError(f"magnitude must be a real number, got {magnitude!r}")
-    magnitude = float(magnitude)
+    magnitude = _real_number("magnitude", magnitude)
     if not (np.isfinite(magnitude) and magnitude > 0):
         raise InputError(f"magnitude must be finite and > 0, got {magnitude!r}")
     if not tol.ineq_fails(-magnitude):  # a deficit of magnitude must be detected

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import enum
 import math
+import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError, InvalidMatrixError
+from .errors import InputError, InvalidMatrixError, _real_number
 
 __all__ = [
     "DEFAULT_TOLERANCE",
@@ -66,9 +67,7 @@ class ToleranceConfig:
     def __post_init__(self):
         for name in ("eps_ineq", "eps_eq", "eps_strict"):
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise InputError(f"{name} must be a real number, got {v!r}")
-            if not (math.isfinite(v) and v >= 0):
+            if not (math.isfinite(_real_number(name, v)) and v >= 0):
                 raise InputError(f"{name} must be finite and nonnegative, got {v!r}")
 
     def ineq_fails(self, slack, out=None):
@@ -79,6 +78,32 @@ class ToleranceConfig:
         compared without numpy, whose call on a scalar costs about 1 us.
         """
         return slack < -self.eps_ineq if out is None else np.less(slack, -self.eps_ineq, out=out)
+
+    def ineq_threshold(self, d: float) -> float:
+        """The least float s at which ineq_fails(s - d) is false, for a finite d.
+
+        Rounding is monotone, so fl(s - d) never falls as s rises: s - d fails
+        exactly when s < ineq_threshold(d), and ineq_threshold(0) is -eps_ineq.
+        The search steps a few floats from fl(d - eps_ineq), where the answer
+        usually lies, then bisects over the order of the floats: when d is near
+        eps_ineq, the answer can lie 10**18 floats below that start.
+        """
+        lo, hi = _rank(-math.inf), _rank(math.inf)  # -inf - d fails, inf - d passes
+        k = _rank(d - self.eps_ineq)
+        for _ in range(4):
+            if self.ineq_fails(_unrank(k) - d):
+                lo, k = k, k + 1
+            else:
+                hi, k = k, k - 1
+            if hi - lo == 1:
+                return _unrank(hi)
+        while hi - lo > 1:
+            k = (lo + hi) // 2
+            if self.ineq_fails(_unrank(k) - d):
+                lo = k
+            else:
+                hi = k
+        return _unrank(hi)
 
     def eq_fails(self, delta, out=None):
         """a = b, with delta a - b, fails unless |delta| <= eps_eq; a NaN fails."""
@@ -94,6 +119,19 @@ class ToleranceConfig:
 
 
 DEFAULT_TOLERANCE = ToleranceConfig()
+
+_SIGN = 1 << 63
+
+
+def _rank(s: float) -> int:
+    """The position of s in the order of the floats; 0.0 and -0.0 are both 0."""
+    (u,) = struct.unpack("<Q", struct.pack("<d", s))
+    return u if u < _SIGN else _SIGN - u
+
+
+def _unrank(k: int) -> float:
+    """The float at position k, so that _unrank(_rank(s)) == s."""
+    return struct.unpack("<d", struct.pack("<Q", k if k >= 0 else _SIGN - k))[0]
 
 
 def auto_labels(n: int) -> tuple[str, ...]:

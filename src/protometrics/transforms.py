@@ -17,7 +17,7 @@ from .checks import (
     degenerate_pairs,
     first_violation,
 )
-from .errors import InputError, PreconditionError, TransitivityError
+from .errors import InputError, PreconditionError, TransitivityError, _real_number
 from .matrix import DEFAULT_TOLERANCE, InequalityType, LabeledMatrix, ToleranceConfig
 
 __all__ = [
@@ -83,7 +83,7 @@ def _gauge_vector(M: LabeledMatrix, f: Mapping[str, float], what: str) -> np.nda
     extra = [l for l in f if l not in M.labels]
     if extra:
         raise InputError(f"{what} has a value for unknown label {extra[0]!r}")
-    vec = np.array([float(f[l]) for l in M.labels], dtype=np.float64)
+    vec = np.array([_real_number(f"{what} at label {l!r}", f[l]) for l in M.labels])
     if not np.isfinite(vec).all():
         bad = M.labels[int(np.flatnonzero(~np.isfinite(vec))[0])]
         raise InputError(f"{what} has a non-finite value at label {bad!r}")
@@ -91,9 +91,7 @@ def _gauge_vector(M: LabeledMatrix, f: Mapping[str, float], what: str) -> np.nda
 
 
 def _check_positive_factor(alpha: float) -> float:
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
-        raise InputError(f"alpha must be a real number, got {alpha!r}")
-    alpha = float(alpha)
+    alpha = _real_number("alpha", alpha)
     if not (np.isfinite(alpha) and alpha > 0):
         raise InputError(f"alpha must be finite and > 0, got {alpha!r}")
     return alpha
@@ -317,9 +315,7 @@ def farris_transform(
     satisfies the symmetric triangle inequality. The output diagonal is not
     required to be zero.
     """
-    if isinstance(constant, bool) or not isinstance(constant, (int, float)):
-        raise InputError(f"constant must be a real number, got {constant!r}")
-    constant = float(constant)
+    constant = _real_number("constant", constant)
     if not np.isfinite(constant):
         raise InputError(f"constant must be finite, got {constant!r}")
     G = gromov_product(d, x0, tol)

@@ -333,7 +333,10 @@ def boundary_cases(draw):
 
     Entries near +-1e308 make slabs overflow to +-inf. Half the matrices get
     a diagonal of 0.0 and -0.0, on which the triangle and pre-quadrangle
-    checks of a type compare the same slacks.
+    checks of a type compare the same slacks. Half are symmetric, so the
+    scan builds one slab for every type at each point; in some of those one
+    mirrored entry is one bit away, 0.0 against -0.0 or an ulp apart, so
+    its two points are not shared.
     """
     eps = draw(st.sampled_from([0.0, 1e-9, 0.5]))
     pool = [s * v for v in ulps_around(eps) for s in (1.0, -1.0)]
@@ -341,6 +344,13 @@ def boundary_cases(draw):
     n = draw(st.integers(1, 4))
     cell = st.one_of(st.sampled_from(pool), st.floats(-3, 3, width=16))
     E = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        E.T[upper] = E[upper]  # mirror the upper triangle
+        if n > 1 and draw(st.booleans()):
+            y, z = draw(st.sampled_from(np.argwhere(upper).tolist()))
+            v = E[z, y]
+            E[z, y] = -0.0 if v == 0 and not np.signbit(v) else np.nextafter(v, np.inf)
     if draw(st.booleans()):
         zeros = st.sampled_from([0.0, -0.0])
         np.fill_diagonal(E, draw(st.lists(zeros, min_size=n, max_size=n)))

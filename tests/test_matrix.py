@@ -159,6 +159,26 @@ def test_tolerance_rules(rule, operands, fails):
     assert test(*arrays, out=out) is out and out.tolist() == [fails]
 
 
+MAX = np.finfo(float).max
+
+
+@pytest.mark.parametrize("eps", [0.0, 5e-324, 1e-9, 0.5])
+def test_inequality_threshold_is_the_least_passing_float(eps):
+    tol = ToleranceConfig(eps_ineq=eps)
+    for v in (0.0, 5e-324, 1e-20, eps, 1.0, 1e308, MAX):
+        for d in (v, -v):
+            t = tol.ineq_threshold(d)
+            assert not tol.ineq_fails(t - d), (eps, d)
+            assert tol.ineq_fails(math.nextafter(t, -math.inf) - d), (eps, d)
+
+
+def test_inequality_threshold_far_from_its_start():
+    # fl(d - eps) is 0 here, but s - 1e-9 rounds to -1e-9 for every s down to
+    # about half an ulp of 1e-9: about 4.2e18 floats below the start.
+    assert ToleranceConfig(eps_ineq=1e-9).ineq_threshold(1e-9) == -1.0339757656912845e-25
+    assert ToleranceConfig(eps_ineq=0.25).ineq_threshold(0.0) == -0.25
+
+
 def test_tolerance_inequality_rule_on_a_float_stays_in_python():
     # The scans call it once per x-slab minimum, where a numpy call costs more.
     assert type(ToleranceConfig().ineq_fails(-1.0)) is bool

@@ -177,6 +177,22 @@ def test_classify_scans_each_slab_once(scans):
     assert set(scans[0]) == {(ty, self_term) for ty in InequalityType for self_term in (False, True)}
 
 
+def test_classify_builds_one_slab_per_point_of_a_symmetric_matrix(monkeypatch):
+    built = []
+    real = checks._slack
+
+    def counted(*args):
+        built.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(checks, "_slack", counted)
+    n = 12
+    for M, per_point in ((gen_metric(GenSpec(n, 5)), 1), (gen_quasi_semi_metric(GenSpec(n, 5)), 4)):
+        built.clear()
+        classify(M)
+        assert len(built) == per_point * n
+
+
 def test_guarded_transforms_scan_at_most_once(scans):
     spec = GenSpec(6, 2)
     accepted = {

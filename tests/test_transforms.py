@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from protometrics import (
+    GenSpec,
     InputError,
     InvalidMatrixError,
     LabeledMatrix,
     PreconditionError,
     Status,
+    ToleranceConfig,
     TransitivityError,
     add,
     affine_gauge,
@@ -25,6 +27,7 @@ from protometrics import (
     log_transform,
     metrize,
     min_farris_constant,
+    perturb_violation,
     potential_of,
     specialization_preorder,
     transpose,
@@ -410,3 +413,27 @@ def test_log_transform_requires_positive_entries():
         log_transform(lm([[1.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(PreconditionError, match="strictly positive"):
         log_transform(lm([[1.0, -0.5], [1.0, 1.0]]))
+
+
+# Every library argument that takes one real number, each given v.
+SCALAR_SITES = {
+    "metrize alpha": lambda v: metrize(lm(PATH), v),
+    "affine_gauge alpha": lambda v: affine_gauge(lm(PATH), v, dict.fromkeys(auto_labels(3), 0.0)),
+    "affine_gauge f": lambda v: affine_gauge(lm(PATH), 1.0, {"x1": 0.0, "x2": v, "x3": 0.0}),
+    "compose f": lambda v: compose(lm(PATH), dict.fromkeys(auto_labels(3), v)),
+    "farris_transform constant": lambda v: farris_transform(lm(PATH), "x1", v),
+    "perturb_violation magnitude": lambda v: perturb_violation(lm(PATH), "t", v),
+    "eps_ineq": lambda v: ToleranceConfig(eps_ineq=v),
+    "eps_eq": lambda v: ToleranceConfig(eps_eq=v),
+    "eps_strict": lambda v: ToleranceConfig(eps_strict=v),
+    "GenSpec scale": lambda v: GenSpec(3, 0, v),
+}
+
+
+@pytest.mark.parametrize("site", SCALAR_SITES)
+@pytest.mark.parametrize("bad", [True, "2", "x", None, 1j, 10**400, 10**5000],
+                         ids=["bool", "numeric-str", "str", "None", "complex", "1e400", "1e5000"])
+def test_scalar_arguments_must_be_real_numbers(site, bad):
+    with pytest.raises(InputError):
+        SCALAR_SITES[site](bad)
+    SCALAR_SITES[site](2)  # an int that fits a float is accepted
