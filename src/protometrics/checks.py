@@ -9,10 +9,21 @@ remains row-major in (x, y, z).
 
 The triangle and pre-quadrangle checks of all four types share one pass
 over x (``_scan``). Per x it builds a slab in one reused (n, n) buffer
-indexed [y, z] (``_slack``): the outer sum a[y] + b[z], written row-major,
-minus d(y, z), where a and b are each the row d(x, .) or the column d(., x).
-Each slab is read in (y, z) order, which also fixes which zero its minimum
-is when it holds both 0.0 and -0.0. Two rules build each distinct slab once:
+indexed [y, z] (``_Slabs``): the outer sum a[y] + b[z] minus d(y, z), where
+a and b are each the row d(x, .) or the column d(., x). Each slab is read in
+(y, z) order, which also fixes which zero its minimum is when it holds both
+0.0 and -0.0.
+
+The outer sum is one BLAS product (``_OuterSum``), [a 1] @ [1; b], of an
+(n, 2) and a (2, n) matrix that are allocated once per scan. Entry (y, z)
+is a[y]*1 + 1*b[z]: both products are exact, so one rounding is left, and
+IEEE rounding makes it fl(a[y] + b[z]) bit for bit, whatever order the
+kernel sums in and whether it fuses the multiply and add. The one exception
+is the sign of a zero: a kernel that starts its sum at +0.0 turns
+-0.0 + -0.0 into +0.0. The -0.0 entries of E are found once per scan, so
+only the slabs whose a and b both hold one set those entries back to -0.0.
+
+Two rules build each distinct slab once:
 
 - The types differ only in whether a[y] and b[z] read the row or the
   column (``_READS_COLUMN``). Where row x equals column x bit for bit, as
@@ -120,21 +131,71 @@ _O, _I, _T, _C = InequalityType
 _READS_COLUMN = {_O: (False, False), _I: (True, True), _T: (True, False), _C: (False, True)}
 
 
-def _slab(E: np.ndarray, x: int, ty: InequalityType, out: np.ndarray) -> np.ndarray:
-    """Write the type-ty triangle slack lhs(x,y,z) - d(y,z) at x into ``out``, indexed [y, z]."""
-    row, col = E[x], np.ascontiguousarray(E[:, x])
-    return _slack(E, *(col if c else row for c in _READS_COLUMN[ty]), out)
+_NO_ZEROS = np.empty(0, dtype=np.intp)
+_NEGATIVE_ZERO = np.int64(-(2**63))  # the bits of -0.0, read as an int64
 
 
-def _slack(E: np.ndarray, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write a[y] + b[z] - d(y,z) into ``out``, indexed [y, z].
+def _negative_zeros(v: np.ndarray) -> np.ndarray:
+    """The flat indices at which ``v`` holds -0.0."""
+    return np.flatnonzero(v.view(np.int64) == _NEGATIVE_ZERO)
 
-    b is copied into every row of ``out`` and a added down the columns, so
-    ``out`` is written row-major; addition commutes, so a + b = b + a.
+
+class _OuterSum:
+    """Writes a[y] + b[z] into an (n, n) buffer as the rank-2 product [a 1] @ [1; b].
+
+    Each entry equals fl(a[y] + b[z]) bit for bit (see the module docstring),
+    except that -0.0 + -0.0 may come out +0.0. Those entries are set back
+    from ``a_zeros`` and ``b_zeros``, the indices of every -0.0 of a and b.
     """
-    np.copyto(out, b)
-    np.add(out, a[:, None], out=out)
-    return np.subtract(out, E, out=out)
+
+    __slots__ = ("_lhs", "_rhs")
+
+    def __init__(self, n: int):
+        self._lhs = np.ones((n, 2))  # column 0 holds a
+        self._rhs = np.ones((2, n))  # row 1 holds b
+
+    def __call__(self, a, b, out, a_zeros, b_zeros) -> np.ndarray:
+        self._lhs[:, 0] = a
+        self._rhs[1] = b
+        np.matmul(self._lhs, self._rhs, out=out)
+        if len(a_zeros) and len(b_zeros):
+            out[np.ix_(a_zeros, b_zeros)] = -0.0
+        return out
+
+
+class _Slabs:
+    """The triangle slack slabs of one matrix E, each written into a given (n, n) buffer.
+
+    An operand is row x or column x of E paired with the indices of its -0.0
+    entries, which are found here, once for every x.
+    """
+
+    __slots__ = ("E", "_outer", "_row_zeros", "_col_zeros")
+
+    def __init__(self, E: np.ndarray):
+        self.E = E
+        self._outer = _OuterSum(len(E))
+        neg = E.view(np.int64) == _NEGATIVE_ZERO
+        self._row_zeros, self._col_zeros = (
+            [np.flatnonzero(lines[x]) if held else _NO_ZEROS
+             for x, held in enumerate(lines.any(axis=1).tolist())]
+            for lines in (neg, neg.T)
+        )
+
+    def operands(self, x: int):
+        """Row x and column x of E, each as (values, indices of its -0.0 entries)."""
+        col = np.ascontiguousarray(self.E[:, x])
+        return (self.E[x], self._row_zeros[x]), (col, self._col_zeros[x])
+
+    def slack(self, a, b, out: np.ndarray) -> np.ndarray:
+        """Write a[y] + b[z] - d(y,z) into ``out``, indexed [y, z], for operands a and b."""
+        self._outer(a[0], b[0], out, a[1], b[1])
+        return np.subtract(out, self.E, out=out)
+
+    def slab(self, x: int, ty: InequalityType, out: np.ndarray) -> np.ndarray:
+        """Write the type-ty triangle slack lhs(x,y,z) - d(y,z) at x into ``out``."""
+        row, col = self.operands(x)
+        return self.slack(*(col if c else row for c in _READS_COLUMN[ty]), out)
 
 
 def _leading_hits(mask: np.ndarray, room: int) -> list[tuple[int, int]]:
@@ -173,6 +234,7 @@ def _scan(
     n = M.n
     labels = M.labels
     by_type = {ty: [k for k, kind in enumerate(kinds) if kind[0] is ty] for ty, _ in kinds}
+    slabs = _Slabs(E)
     S = np.empty((n, n))
     mask = np.empty((n, n), dtype=bool)
     mins = [math.inf] * len(kinds)
@@ -181,15 +243,15 @@ def _scan(
     scanned = n
     for x in range(n):
         d = float(E[x, x])
-        row, col = E[x], np.ascontiguousarray(E[:, x])
-        slabs = by_type
+        row, col = slabs.operands(x)
+        distinct = by_type
         # Where row x equals column x bit for bit, every type reads the same operands.
-        if len(by_type) > 1 and row.tobytes() == col.tobytes():
-            slabs = {kinds[0][0]: range(len(kinds))}
+        if len(by_type) > 1 and row[0].tobytes() == col[0].tobytes():
+            distinct = {kinds[0][0]: range(len(kinds))}
         cut = None  # tol.ineq_threshold(d), found at the first failing pre-quadrangle pair
-        for ty, ks in slabs.items():
+        for ty, ks in distinct.items():
             a, b = (col if c else row for c in _READS_COLUMN[ty])
-            low = float(_slack(E, a, b, S).min())
+            low = float(slabs.slack(a, b, S).min())
             # The pairs failing at x, by the bound that S falls below where they
             # fail: -eps_ineq for S, ineq_threshold(d) for S - d(x,x). Equal
             # bounds share a mask, as both forms do when d(x,x) is zero.

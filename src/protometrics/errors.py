@@ -8,6 +8,8 @@ The command-line layer maps them to distinct exit codes.
 
 from __future__ import annotations
 
+import numbers
+
 
 class ProtometricsError(Exception):
     """Base class for every error raised by this package."""
@@ -55,14 +57,15 @@ class TransitivityError(PreconditionError):
 
 
 def _real_number(what: str, value) -> float:
-    """``value`` as a float, or InputError unless it is an int or a float.
+    """``value`` as a float, or InputError unless it is a real number.
 
-    A bool is rejected, and so is an int too large for a float, which float()
-    would raise OverflowError on. Range checks are left to the caller.
+    Any ``numbers.Real`` is accepted, numpy's real scalars included; a bool
+    is rejected, and so is a value too large for a float, which float() would
+    raise OverflowError on. Range checks are left to the caller.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InputError(f"{what} must be a real number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise InputError(f"{what} is an integer too large for a float") from None
+        raise InputError(f"{what} is too large for a float") from None

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import _READS_COLUMN, _slab, check_prequadrangle, first_violation
+from .checks import (
+    _NO_ZEROS,
+    _READS_COLUMN,
+    _OuterSum,
+    _Slabs,
+    _negative_zeros,
+    check_prequadrangle,
+    first_violation,
+)
 from .errors import InputError, PreconditionError, _real_number
 from .matrix import (
     DEFAULT_TOLERANCE,
@@ -112,8 +120,10 @@ class GenSpec:
         if not (0 <= self.seed < (1 << 64)):
             raise InputError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
         # No generator sums more than three drawn magnitudes, so 2**1021 cannot overflow.
-        if not 0 < _real_number("scale", self.scale) <= _MAX_SCALE:
+        scale = _real_number("scale", self.scale)
+        if not 0 < scale <= _MAX_SCALE:
             raise InputError(f"scale must be > 0 and at most 2**1021, got {self.scale!r}")
+        object.__setattr__(self, "scale", scale)
 
 
 def shortest_path_closure(M: LabeledMatrix) -> LabeledMatrix:
@@ -129,8 +139,14 @@ def shortest_path_closure(M: LabeledMatrix) -> LabeledMatrix:
 def _closure(E: np.ndarray) -> np.ndarray:
     out = E.copy()
     n = E.shape[0]
+    outer, via = _OuterSum(n), np.empty((n, n))
+    # A sum is -0.0 only when both its terms are, and a minimum is one of its
+    # operands, so no column or row of out holds a -0.0 unless E does.
+    signed = len(_negative_zeros(E)) > 0
     for k in range(n):
-        np.minimum(out, out[:, k, None] + out[None, k, :], out=out)
+        col, row = out[:, k], out[k]
+        zeros = (_negative_zeros(col), _negative_zeros(row)) if signed else (_NO_ZEROS, _NO_ZEROS)
+        np.minimum(out, outer(col, row, via, *zeros), out=out)
     return out
 
 
@@ -259,10 +275,10 @@ def perturb_violation(
     n = M.n
     diagonal = np.eye(n, dtype=bool)
     a_col, b_col = _READS_COLUMN[ty]
-    slack = np.empty((n, n))
+    slabs, slack = _Slabs(E), np.empty((n, n))
     best = []  # per x: (slack, target-is-diagonal, x, y, z) of its first best triple
     for x in range(n):
-        np.subtract(_slab(E, x, ty, slack), E[x, x], out=slack)
+        np.subtract(slabs.slab(x, ty, slack), E[x, x], out=slack)
         # Raising p(y,z) raises the right side only, unless (y,z) is also a
         # left-side slot; the inequality then holds identically. Such slots are
         # a[y] = d(y,x) at z = x, b[z] = d(x,z) at y = x, and (x, x).

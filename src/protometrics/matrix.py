@@ -67,8 +67,11 @@ class ToleranceConfig:
     def __post_init__(self):
         for name in ("eps_ineq", "eps_eq", "eps_strict"):
             v = getattr(self, name)
-            if not (math.isfinite(_real_number(name, v)) and v >= 0):
+            eps = _real_number(name, v)
+            if not (math.isfinite(eps) and eps >= 0):
                 raise InputError(f"{name} must be finite and nonnegative, got {v!r}")
+            # A numpy float32 would round every threshold computed from it to float32.
+            object.__setattr__(self, name, eps)
 
     def ineq_fails(self, slack, out=None):
         """a >= b, with slack a - b, fails when slack < -eps_ineq.

@@ -12,7 +12,7 @@ import numpy as np
 from .checks import (
     BASE_FLAGS,
     DERIVED_FLAGS,
-    _slab,
+    _Slabs,
     check_prequadrangle,
     degenerate_pairs,
     first_violation,
@@ -335,8 +335,8 @@ def min_farris_constant(
     a triangle or nonnegativity check.
     """
     G = gromov_product(d, x0, tol).entries
-    slab = np.empty_like(G)
-    tops = [float(_slab(G, x, InequalityType.OUTGOING, slab).max()) for x in range(d.n)]
+    slabs, slab = _Slabs(G), np.empty_like(G)
+    tops = [float(slabs.slab(x, InequalityType.OUTGOING, slab).max()) for x in range(d.n)]
     return max([0.0, *tops, float(G.max())])
 
 

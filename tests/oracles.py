@@ -1,9 +1,12 @@
 """Independent brute-force oracles.
 
-Plain-Python triple loops sharing no code with the package internals. Unit
-and acceptance tests freeze these outputs or compare against them directly;
-when the library and an oracle disagree, the oracle wins.
+Plain-Python triple loops sharing no code with the package internals, and
+one numpy reference, broadcast_closure. Unit and acceptance tests freeze
+these outputs or compare against them directly; when the library and an
+oracle disagree, the oracle wins.
 """
+
+import numpy as np
 
 LHS = {
     "o": lambda E, x, y, z: E[x][y] + E[x][z],
@@ -159,6 +162,19 @@ def minplus_closure(E):
                 if via < D[i][j]:
                     D[i][j] = via
     return D
+
+
+def broadcast_closure(E):
+    """The min-plus closure relaxed by numpy broadcast sums, one (n, n) sum per k.
+
+    Unlike minplus_closure, which keeps an entry unless a path is strictly
+    shorter, it takes np.minimum of each entry and its broadcast sum, so the
+    package's closure must equal it bit for bit, signs of zero included.
+    """
+    out = np.array(E, dtype=float)
+    for k in range(len(out)):
+        np.minimum(out, out[:, k, None] + out[None, k, :], out=out)
+    return out
 
 
 def preorder_structure(E, eps_eq=1e-9):

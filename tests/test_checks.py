@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from protometrics import (
@@ -381,6 +381,32 @@ def test_classify_verdicts_equal_the_single_checks(case, cap):
                 got = (report.prequadrangle if prequad else report.triangle)[ty]
                 assert [(idx[w.x], idx[w.y], idx[w.z]) for w in got.witnesses] == bad[:cap]
                 assert got.count_violations == len(bad)
+
+
+EDGE_VALUES = [s * v for v in (0.0, 5e-324, 1e-308, 1.0, 1e-9, 1e308, np.finfo(float).max)
+               for s in (1.0, -1.0)]
+
+
+@st.composite
+def outer_sum_operands(draw):
+    """Two vectors of one length, of edge values and arbitrary finite floats."""
+    n = draw(st.integers(1, 40))
+    cell = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+    return [np.array(draw(st.lists(cell, min_size=n, max_size=n))) for _ in range(2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(outer_sum_operands())
+@example([np.array([-0.0, 0.0, -0.0, 1.0]), np.array([-0.0, -0.0, 0.0, -1.0])])
+def test_outer_sum_is_the_broadcast_sum_bit_for_bit(operands):
+    a, b = operands
+    n = len(a)
+    outer, out = checks._OuterSum(n), np.empty((n, n))
+    with np.errstate(over="ignore"):
+        # One helper serves many slabs, so a second call must not see the first.
+        for a, b in ((a, b), (b, a)):
+            outer(a, b, out, checks._negative_zeros(a), checks._negative_zeros(b))
+            assert np.array_equal(out.view(np.int64), (a[:, None] + b[None, :]).view(np.int64))
 
 
 def test_zero_minimum_is_read_in_row_major_order():

@@ -30,7 +30,7 @@ from protometrics import (
 
 from protometrics.checks import first_violation
 
-from oracles import generated, minplus_closure, perturb_target, splitmix64
+from oracles import broadcast_closure, generated, minplus_closure, perturb_target, splitmix64
 
 GRID = 2.0 ** -20
 
@@ -231,6 +231,18 @@ def test_shortest_path_closure_matches_oracle():
         closed = shortest_path_closure(m)
         assert np.array_equal(closed.entries, np.array(minplus_closure(E.tolist())))
         assert check_triangle(closed, "t").status is Status.PASS
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda n: st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-9]),
+                       min_size=n * n, max_size=n * n)))
+@example([-0.0, 0.0, -0.0, -0.0])
+def test_closure_matches_the_broadcast_closure_bit_for_bit(cells):
+    n = math.isqrt(len(cells))
+    E = np.array(cells).reshape(n, n)
+    got = generators._closure(E)
+    assert np.array_equal(got.view(np.int64), broadcast_closure(E).view(np.int64))
 
 
 def test_perturb_two_point_metric_bumps_diagonal():

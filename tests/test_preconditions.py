@@ -179,13 +179,13 @@ def test_classify_scans_each_slab_once(scans):
 
 def test_classify_builds_one_slab_per_point_of_a_symmetric_matrix(monkeypatch):
     built = []
-    real = checks._slack
+    real = checks._Slabs.slack
 
     def counted(*args):
         built.append(1)
         return real(*args)
 
-    monkeypatch.setattr(checks, "_slack", counted)
+    monkeypatch.setattr(checks._Slabs, "slack", counted)
     n = 12
     for M, per_point in ((gen_metric(GenSpec(n, 5)), 1), (gen_quasi_semi_metric(GenSpec(n, 5)), 4)):
         built.clear()

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -431,9 +432,15 @@ SCALAR_SITES = {
 
 
 @pytest.mark.parametrize("site", SCALAR_SITES)
-@pytest.mark.parametrize("bad", [True, "2", "x", None, 1j, 10**400, 10**5000],
-                         ids=["bool", "numeric-str", "str", "None", "complex", "1e400", "1e5000"])
+@pytest.mark.parametrize(
+    "bad",
+    [True, "2", "x", None, 1j, 10**400, 10**5000, np.True_, Fraction(10**400)],
+    ids=["bool", "numeric-str", "str", "None", "complex", "1e400", "1e5000", "numpy-bool",
+         "fraction-1e400"],
+)
 def test_scalar_arguments_must_be_real_numbers(site, bad):
     with pytest.raises(InputError):
         SCALAR_SITES[site](bad)
-    SCALAR_SITES[site](2)  # an int that fits a float is accepted
+    # Any real number that fits a float is accepted, numpy's real scalars included.
+    for good in (2, np.int64(2), np.float32(2), Fraction(2)):
+        SCALAR_SITES[site](good)
