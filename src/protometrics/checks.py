@@ -40,6 +40,24 @@ Two rules build each distinct slab once:
 Only when a pair fails is the violation mask filled, in one reused buffer,
 once per distinct bound for all the failing pairs of the slab. Witnesses
 come from its leading rows, recomputed as scalar sums in the same order.
+
+Scans of matrices on a coarse grid run in float32, with the same verdict
+bits. A matrix qualifies (``_exact_float32``) when it holds no -0.0, every
+entry is an integer multiple k * u of one power of two
+u = 2**ceil(log2(3 max|E|) - 24), u is at least 2**-126 and max|E| is at
+most 2**100. Every a[y] + b[z] - d(y, z) is then an integer of at most
+3 max|k| <= 2**24 units, a normal number in float32 and float64 alike, so
+both dtypes hold every partial and final sum exactly, whatever order a BLAS
+kernel sums in and whether it fuses. With no -0.0 in E no sum or difference
+is -0.0 (x + y = -0.0 needs both to be -0.0, x - y = -0.0 needs x = -0.0),
+so no slab holds both zeros and its minimum does not depend on reading
+order. Such a matrix is scanned from a float32 copy, at half the bytes per
+pass; any other, in float64. Only the slabs change dtype: witnesses are
+float64 scalar sums as before, the pre-quadrangle threshold is applied to
+the float64 minimum, and a mask compares a float32 slab with the least
+float32 at or above its bound (``_least_at_or_above``), which fails at the
+same entries. min_slack, count_violations and the witnesses are thus bit
+for bit those of the float64 scan.
 """
 
 from __future__ import annotations
@@ -132,12 +150,57 @@ _READS_COLUMN = {_O: (False, False), _I: (True, True), _T: (True, False), _C: (F
 
 
 _NO_ZEROS = np.empty(0, dtype=np.intp)
-_NEGATIVE_ZERO = np.int64(-(2**63))  # the bits of -0.0, read as an int64
+
+
+def _is_negative_zero(v: np.ndarray) -> np.ndarray:
+    """Where ``v`` holds -0.0: its bits, read as a signed integer, are the least one."""
+    bits = v.view(f"i{v.itemsize}")
+    return bits == np.iinfo(bits.dtype).min
 
 
 def _negative_zeros(v: np.ndarray) -> np.ndarray:
     """The flat indices at which ``v`` holds -0.0."""
-    return np.flatnonzero(v.view(np.int64) == _NEGATIVE_ZERO)
+    return np.flatnonzero(_is_negative_zero(v))
+
+
+def _exact_float32(E: np.ndarray) -> np.ndarray | None:
+    """A C-ordered float32 copy of E on which every slab is exact, or None.
+
+    E qualifies when it holds no -0.0 and every entry is an integer multiple
+    of u = 2**ceil(log2(3 max|E|) - 24), with u >= 2**-126 and max|E| <= 2**100
+    (see the module docstring). An all-zero E qualifies.
+    """
+    top = max(float(E.max()), -float(E.min()))
+    if top > 2.0**100:
+        return None
+    # The least j with 3 * top <= 2**(24 + j), in integers: top = p / 2**s.
+    p, q = top.as_integer_ratio()
+    j = (3 * p - 1).bit_length() - q.bit_length() + 1 - 24 if top else -126
+    if j < -126:
+        return None
+    # Adding 1.5 * 2**52 * u rounds each entry to a multiple of u, and
+    # subtracting it again is exact. An entry comes back bit for bit exactly
+    # when it is such a multiple and not -0.0, which comes back as 0.0.
+    shift = math.ldexp(1.5, 52 + j)
+    snapped = np.add(E, shift)
+    snapped -= shift
+    if not np.array_equal(snapped.view(np.int64), E.view(np.int64)):
+        return None
+    return E.astype(np.float32, order="C")
+
+
+def _least_at_or_above(bound: float, dtype: np.dtype):
+    """The least value of ``dtype`` that is >= ``bound``, a float within its range.
+
+    A slab S of that dtype has S < bound exactly where S < this value. It is
+    found by comparing Python floats: numpy would round the bound to the
+    nearest value of the dtype, which can lie below it. A float32 slab is
+    compared only with a bound that some entry falls below and that is
+    -eps_ineq or at most d(x, x), so the bound lies within
+    [-3 * 2**100, 2**100].
+    """
+    v = dtype.type(bound)
+    return v if float(v) >= bound else np.nextafter(v, dtype.type(math.inf))
 
 
 class _OuterSum:
@@ -150,9 +213,9 @@ class _OuterSum:
 
     __slots__ = ("_lhs", "_rhs")
 
-    def __init__(self, n: int):
-        self._lhs = np.ones((n, 2))  # column 0 holds a
-        self._rhs = np.ones((2, n))  # row 1 holds b
+    def __init__(self, n: int, dtype=np.float64):
+        self._lhs = np.ones((n, 2), dtype)  # column 0 holds a
+        self._rhs = np.ones((2, n), dtype)  # row 1 holds b
 
     def __call__(self, a, b, out, a_zeros, b_zeros) -> np.ndarray:
         self._lhs[:, 0] = a
@@ -166,16 +229,17 @@ class _OuterSum:
 class _Slabs:
     """The triangle slack slabs of one matrix E, each written into a given (n, n) buffer.
 
-    An operand is row x or column x of E paired with the indices of its -0.0
-    entries, which are found here, once for every x.
+    The slabs take the dtype of E. An operand is row x or column x of E paired
+    with the indices of its -0.0 entries, which are found here, once for
+    every x.
     """
 
     __slots__ = ("E", "_outer", "_row_zeros", "_col_zeros")
 
     def __init__(self, E: np.ndarray):
         self.E = E
-        self._outer = _OuterSum(len(E))
-        neg = E.view(np.int64) == _NEGATIVE_ZERO
+        self._outer = _OuterSum(len(E), E.dtype)
+        neg = _is_negative_zero(E)
         self._row_zeros, self._col_zeros = (
             [np.flatnonzero(lines[x]) if held else _NO_ZEROS
              for x, held in enumerate(lines.any(axis=1).tolist())]
@@ -234,8 +298,9 @@ def _scan(
     n = M.n
     labels = M.labels
     by_type = {ty: [k for k, kind in enumerate(kinds) if kind[0] is ty] for ty, _ in kinds}
-    slabs = _Slabs(E)
-    S = np.empty((n, n))
+    F = _exact_float32(E)
+    slabs = _Slabs(E if F is None else F)
+    S = np.empty((n, n), slabs.E.dtype)
     mask = np.empty((n, n), dtype=bool)
     mins = [math.inf] * len(kinds)
     violations = [0] * len(kinds)
@@ -267,7 +332,8 @@ def _scan(
                         cut = tol.ineq_threshold(d)
                     groups.setdefault(cut if self_term else -tol.eps_ineq, []).append(k)
             for bound, group in groups.items():
-                count = int(np.count_nonzero(np.less(S, bound, out=mask)))
+                below = _least_at_or_above(bound, S.dtype)
+                count = int(np.count_nonzero(np.less(S, below, out=mask)))
                 at = _leading_hits(mask, max(max_witnesses - len(found[k]) for k in group))
                 for k in group:
                     violations[k] += count
@@ -359,6 +425,34 @@ def check_strict(
     return _verdict(witnesses, min_slack, n * (n - 1), int(np.count_nonzero(mask)))
 
 
+class _OuterProduct:
+    """Writes a[y] * b[z] into an (n, n) buffer as the rank-2 product [a 0] @ [b; 0].
+
+    Each entry is a sum of fl(a[y] * b[z]) and exact zeros, so it equals the
+    broadcast product bit for bit, except that a zero product comes out +0.0
+    when a kernel adds it to +0.0. With ``signed``, zero products of operands
+    with opposite sign bits are set back to -0.0. Without it, no operand has a
+    sign bit set, and no product is -0.0.
+    """
+
+    __slots__ = ("_lhs", "_rhs", "_zero")
+
+    def __init__(self, n: int):
+        self._lhs = np.zeros((n, 2))  # column 0 holds a
+        self._rhs = np.zeros((2, n))  # row 0 holds b
+        self._zero = np.empty((n, n), dtype=bool)
+
+    def __call__(self, a, b, out, signed: bool) -> np.ndarray:
+        self._lhs[:, 0] = a
+        self._rhs[0] = b
+        np.matmul(self._lhs, self._rhs, out=out)
+        if signed and np.equal(out, 0.0, out=self._zero).any():
+            y, z = np.nonzero(self._zero)
+            flip = np.signbit(a[y]) != np.signbit(b[z])
+            out[y[flip], z[flip]] = -0.0
+        return out
+
+
 def check_transition(
     M: LabeledMatrix,
     tol: ToleranceConfig = DEFAULT_TOLERANCE,
@@ -389,10 +483,10 @@ def check_transition(
     witnesses: list[ViolationWitness] = []
     lhs, rhs = np.empty((2, n, n))
     mask = np.empty((n, n), dtype=bool)
+    outer, signed = _OuterProduct(n), bool(np.signbit(E).any())
     for x in range(n):
         d = float(E[x, x])
-        np.copyto(lhs, E[x])
-        np.multiply(lhs, E[:, x, None], out=lhs)  # s(y,x) * s(x,z)
+        outer(E[:, x], E[x], lhs, signed)  # s(y,x) * s(x,z)
         np.multiply(E, d, out=rhs)  # s(y,z) * s(x,x)
         m = float(np.subtract(rhs, lhs, out=rhs).min())
         if m < min_slack:

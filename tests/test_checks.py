@@ -1,5 +1,7 @@
+import contextlib
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -388,10 +390,10 @@ EDGE_VALUES = [s * v for v in (0.0, 5e-324, 1e-308, 1.0, 1e-9, 1e308, np.finfo(f
 
 
 @st.composite
-def outer_sum_operands(draw):
+def outer_sum_operands(draw, edges=EDGE_VALUES):
     """Two vectors of one length, of edge values and arbitrary finite floats."""
     n = draw(st.integers(1, 40))
-    cell = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(allow_nan=False, allow_infinity=False))
+    cell = st.one_of(st.sampled_from(edges), st.floats(allow_nan=False, allow_infinity=False))
     return [np.array(draw(st.lists(cell, min_size=n, max_size=n))) for _ in range(2)]
 
 
@@ -494,3 +496,135 @@ def test_early_exit_of_many_kinds_waits_for_every_kind_to_fail(case, cap):
         assert got.count_checked == scanned * M.n**2
         if scanned == M.n:
             assert repr(got) == repr(want)
+
+
+# Products that overflow, underflow to a signed zero or meet a -0.0 operand.
+PRODUCT_EDGE_VALUES = [s * v for v in (0.0, 5e-324, 1e-200, 1e-160, 1.0, 1e154, 1e308)
+                       for s in (1.0, -1.0)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(outer_sum_operands(PRODUCT_EDGE_VALUES))
+@example([np.array([1e-200, -1e-200, -0.0, 0.0, 2.0]), np.array([-1e-160, 1e-160, 3.0, -3.0, -0.0])])
+def test_transition_product_is_the_broadcast_product_bit_for_bit(operands):
+    a, b = operands
+    n = len(a)
+    outer, out = checks._OuterProduct(n), np.empty((n, n))
+    # check_transition passes signed=False only for a matrix with no sign bit set.
+    signed = bool(np.signbit(a).any() or np.signbit(b).any())
+    with np.errstate(over="ignore"):
+        for a, b in ((a, b), (b, a)):
+            outer(a, b, out, signed)
+            assert np.array_equal(out.view(np.int64), (a[:, None] * b[None, :]).view(np.int64))
+
+
+ALL_KINDS = [(ty, self_term) for ty in InequalityType for self_term in (False, True)]
+MAX_UNITS = 2**24 // 3  # the largest |k| whose three-term slack fits the float32 significand
+
+
+@contextlib.contextmanager
+def slab_paths(force_float64=False):
+    """The path each additive scan in the block took: True for float32 slabs."""
+    taken = []
+    real = checks._exact_float32
+
+    def spy(E):
+        F = None if force_float64 else real(E)
+        taken.append(F is not None)
+        return F
+
+    with mock.patch.object(checks, "_exact_float32", spy):
+        yield taken
+
+
+@st.composite
+def float32_grid_cases(draw):
+    """A matrix of integer multiples k * 2**j, |k| <= MAX_UNITS, and a tolerance.
+
+    Every such matrix qualifies for float32 slabs. Half are symmetric. The
+    tolerance is a fixed one or any float up to the largest slack.
+    """
+    n = draw(st.integers(1, 6))
+    j = draw(st.integers(-100, 40))
+    top = draw(st.sampled_from([1, 3, 1000, MAX_UNITS]))
+    k = st.one_of(st.integers(-top, top), st.sampled_from([-top, 0, top]))
+    E = np.array(draw(st.lists(k, min_size=n * n, max_size=n * n)), dtype=float).reshape(n, n)
+    if draw(st.booleans()):
+        E = np.triu(E) + np.triu(E, 1).T
+    fixed = st.sampled_from([0.0, 1e-9, 0.5])
+    eps = draw(st.one_of(fixed, st.floats(0, 3 * top).map(lambda v: math.ldexp(v, j))))
+    return lm(np.ldexp(E, j)), ToleranceConfig(eps_ineq=eps)
+
+
+@settings(max_examples=300, deadline=None)
+@given(float32_grid_cases(), st.integers(1, 3), st.booleans())
+def test_float32_slabs_give_the_float64_verdicts(case, cap, stop):
+    M, tol = case
+    with slab_paths() as taken:
+        got = checks._scan(M, tol, ALL_KINDS, cap, stop_at_first_failure=stop)
+    with slab_paths(force_float64=True) as forced:
+        want = checks._scan(M, tol, ALL_KINDS, cap, stop_at_first_failure=stop)
+    assert (taken, forced) == ([True], [False])
+    assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+@pytest.mark.parametrize("j", [-126, -53, 0, 40])
+def test_float32_slab_certificate_ends_at_3k_of_2_to_the_24(j):
+    for top, qualifies in ((MAX_UNITS, True), (MAX_UNITS + 1, False)):
+        # The odd entries keep the grid at 2**j, so one unit more than
+        # MAX_UNITS leaves it with a three-term slack beyond 2**24 units.
+        E = np.ldexp(np.array([[0.0, top, -1.0], [3.0, -top, 2.0], [top - 1.0, 1.0, 0.0]]), j)
+        assert (checks._exact_float32(E) is not None) is qualifies
+        with slab_paths() as taken:
+            got = classify(lm(E), max_witnesses=3)
+        with slab_paths(force_float64=True):
+            want = classify(lm(E), max_witnesses=3)
+        assert taken == [qualifies]
+        assert repr(got) == repr(want)
+
+
+def test_float32_slab_certificate_needs_a_normal_unit_and_a_small_range():
+    grid = np.array([[0.0, MAX_UNITS], [1.0, -MAX_UNITS]])
+    assert checks._exact_float32(np.ldexp(grid, -126)) is not None
+    assert checks._exact_float32(np.ldexp(grid, -127)) is None  # u = 2**-127 is subnormal
+    assert checks._exact_float32(np.array([[0.0, 2.0**100]])) is not None
+    assert checks._exact_float32(np.array([[0.0, 2.0**101]])) is None
+    assert checks._exact_float32(np.zeros((3, 3))) is not None
+    assert checks._exact_float32(np.array([[0.5, 0.1]])) is None  # 0.1 lies on no coarse grid
+
+
+def test_float32_slabs_refuse_negative_zero():
+    E = np.array([[0.0, 1.0], [-0.0, 2.0]])
+    assert checks._exact_float32(E) is None
+    assert checks._exact_float32(np.abs(E)) is not None
+    assert checks._exact_float32(np.full((2, 2), -0.0)) is None
+    with slab_paths() as taken:
+        classify(lm(E))
+    assert taken == [False]
+
+
+@pytest.mark.parametrize("prequad", [False, True])
+def test_float32_slab_masks_keep_each_bound_exact(prequad):
+    # On the 2**-53 grid the type-t slab at (x1, x2, x3) is s = -9007201 u, a
+    # float32. eps_ineq puts the bound the slab is compared with, -eps_ineq or
+    # ineq_threshold(d(x1, x1)), a quarter unit above s: the triple fails, yet
+    # the bound rounded to the nearest float32 is s itself.
+    u = 2.0**-53
+    k = np.zeros((3, 3))
+    k[1, 0] = k[0, 2] = -4503600
+    k[1, 2] = 1
+    k[0, 0] = prequad
+    M = lm(k * u)
+    s = -9007201 * u
+    tol = ToleranceConfig(eps_ineq=(9007201 + prequad - 0.25) * u)
+    bound = tol.ineq_threshold(float(M.entries[0, 0]))
+    assert float(np.float32(bound)) == s < bound
+    check = check_prequadrangle if prequad else check_triangle
+    with slab_paths() as taken:
+        v = check(M, "t", tol)
+    assert taken == [True]
+    bad, _ = additive_scan(M.entries.tolist(), "t", prequad, tol.eps_ineq)
+    assert (0, 1, 2) in bad
+    assert v.count_violations == len(bad)
+    idx = {lab: i for i, lab in enumerate(M.labels)}
+    assert [(idx[w.x], idx[w.y], idx[w.z]) for w in v.witnesses] == bad
