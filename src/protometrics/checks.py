@@ -55,7 +55,7 @@ order. Such a matrix is scanned from a float32 copy, at half the bytes per
 pass; any other, in float64. Only the slabs change dtype: witnesses are
 float64 scalar sums as before, the pre-quadrangle threshold is applied to
 the float64 minimum, and a mask compares a float32 slab with the least
-float32 at or above its bound (``_least_at_or_above``), which fails at the
+float32 at or above its bound (``_least_float32_at_or_above``), which fails at the
 same entries. min_slack, count_violations and the witnesses are thus bit
 for bit those of the float64 scan.
 """
@@ -170,6 +170,12 @@ def _exact_float32(E: np.ndarray) -> np.ndarray | None:
     of u = 2**ceil(log2(3 max|E|) - 24), with u >= 2**-126 and max|E| <= 2**100
     (see the module docstring). An all-zero E qualifies.
     """
+    # Every qualifying entry is a float32, so a row 0 that is not refuses E
+    # in O(n), before the passes over all n**2 entries below.
+    with np.errstate(over="ignore"):
+        row = E[0].astype(np.float32)
+    if not np.array_equal(row, E[0]):
+        return None
     top = max(float(E.max()), -float(E.min()))
     if top > 2.0**100:
         return None
@@ -189,18 +195,17 @@ def _exact_float32(E: np.ndarray) -> np.ndarray | None:
     return E.astype(np.float32, order="C")
 
 
-def _least_at_or_above(bound: float, dtype: np.dtype):
-    """The least value of ``dtype`` that is >= ``bound``, a float within its range.
+def _least_float32_at_or_above(bound: float) -> np.float32:
+    """The least float32 that is >= ``bound``, a float within the float32 range.
 
-    A slab S of that dtype has S < bound exactly where S < this value. It is
-    found by comparing Python floats: numpy would round the bound to the
-    nearest value of the dtype, which can lie below it. A float32 slab is
-    compared only with a bound that some entry falls below and that is
-    -eps_ineq or at most d(x, x), so the bound lies within
-    [-3 * 2**100, 2**100].
+    A float32 slab S has S < bound exactly where S < this value. It is found
+    by comparing Python floats: numpy would round the bound to the nearest
+    float32, which can lie below it. A float32 slab is compared only with a
+    bound that some entry falls below and that is -eps_ineq or at most
+    d(x, x), so the bound lies within [-3 * 2**100, 2**100].
     """
-    v = dtype.type(bound)
-    return v if float(v) >= bound else np.nextafter(v, dtype.type(math.inf))
+    v = np.float32(bound)
+    return v if float(v) >= bound else np.nextafter(v, np.float32(math.inf))
 
 
 class _OuterSum:
@@ -332,7 +337,7 @@ def _scan(
                         cut = tol.ineq_threshold(d)
                     groups.setdefault(cut if self_term else -tol.eps_ineq, []).append(k)
             for bound, group in groups.items():
-                below = _least_at_or_above(bound, S.dtype)
+                below = bound if F is None else _least_float32_at_or_above(bound)
                 count = int(np.count_nonzero(np.less(S, below, out=mask)))
                 at = _leading_hits(mask, max(max_witnesses - len(found[k]) for k in group))
                 for k in group:
@@ -426,31 +431,29 @@ def check_strict(
 
 
 class _OuterProduct:
-    """Writes a[y] * b[z] into an (n, n) buffer as the rank-2 product [a 0] @ [b; 0].
+    """Writes a[y] * b[z] into an (n, n) buffer, bit for bit the broadcast product.
 
-    Each entry is a sum of fl(a[y] * b[z]) and exact zeros, so it equals the
-    broadcast product bit for bit, except that a zero product comes out +0.0
-    when a kernel adds it to +0.0. With ``signed``, zero products of operands
-    with opposite sign bits are set back to -0.0. Without it, no operand has a
-    sign bit set, and no product is -0.0.
+    Operands with no sign bit set take the rank-2 product [a 0] @ [b; 0]:
+    each entry is fl(a[y] * b[z]) plus exact zeros, and no product is -0.0,
+    so the sum is that product. A zero product of operands with opposite
+    signs is -0.0, which a kernel that adds it to +0.0 turns into +0.0, so
+    ``signed`` operands take the column-broadcast multiply.
     """
 
-    __slots__ = ("_lhs", "_rhs", "_zero")
+    __slots__ = ("_lhs", "_rhs", "_signed")
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, signed: bool):
         self._lhs = np.zeros((n, 2))  # column 0 holds a
         self._rhs = np.zeros((2, n))  # row 0 holds b
-        self._zero = np.empty((n, n), dtype=bool)
+        self._signed = signed
 
-    def __call__(self, a, b, out, signed: bool) -> np.ndarray:
+    def __call__(self, a, b, out) -> np.ndarray:
+        if self._signed:
+            np.copyto(out, b)
+            return np.multiply(out, a[:, None], out=out)
         self._lhs[:, 0] = a
         self._rhs[0] = b
-        np.matmul(self._lhs, self._rhs, out=out)
-        if signed and np.equal(out, 0.0, out=self._zero).any():
-            y, z = np.nonzero(self._zero)
-            flip = np.signbit(a[y]) != np.signbit(b[z])
-            out[y[flip], z[flip]] = -0.0
-        return out
+        return np.matmul(self._lhs, self._rhs, out=out)
 
 
 def check_transition(
@@ -483,10 +486,10 @@ def check_transition(
     witnesses: list[ViolationWitness] = []
     lhs, rhs = np.empty((2, n, n))
     mask = np.empty((n, n), dtype=bool)
-    outer, signed = _OuterProduct(n), bool(np.signbit(E).any())
+    outer = _OuterProduct(n, bool(np.signbit(E).any()))
     for x in range(n):
         d = float(E[x, x])
-        outer(E[:, x], E[x], lhs, signed)  # s(y,x) * s(x,z)
+        outer(E[:, x], E[x], lhs)  # s(y,x) * s(x,z)
         np.multiply(E, d, out=rhs)  # s(y,z) * s(x,x)
         m = float(np.subtract(rhs, lhs, out=rhs).min())
         if m < min_slack:

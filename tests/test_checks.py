@@ -509,12 +509,12 @@ PRODUCT_EDGE_VALUES = [s * v for v in (0.0, 5e-324, 1e-200, 1e-160, 1.0, 1e154, 
 def test_transition_product_is_the_broadcast_product_bit_for_bit(operands):
     a, b = operands
     n = len(a)
-    outer, out = checks._OuterProduct(n), np.empty((n, n))
+    out = np.empty((n, n))
     # check_transition passes signed=False only for a matrix with no sign bit set.
-    signed = bool(np.signbit(a).any() or np.signbit(b).any())
     with np.errstate(over="ignore"):
-        for a, b in ((a, b), (b, a)):
-            outer(a, b, out, signed)
+        for a, b in ((a, b), (b, a), (np.abs(a), np.abs(b))):
+            signed = bool(np.signbit(a).any() or np.signbit(b).any())
+            checks._OuterProduct(n, signed)(a, b, out)
             assert np.array_equal(out.view(np.int64), (a[:, None] * b[None, :]).view(np.int64))
 
 
@@ -591,6 +591,10 @@ def test_float32_slab_certificate_needs_a_normal_unit_and_a_small_range():
     assert checks._exact_float32(np.array([[0.0, 2.0**101]])) is None
     assert checks._exact_float32(np.zeros((3, 3))) is not None
     assert checks._exact_float32(np.array([[0.5, 0.1]])) is None  # 0.1 lies on no coarse grid
+    # Off the grid below row 0: a float64 entry, then float32 entries too fine for u = 2**-2.
+    assert checks._exact_float32(np.array([[0.0, 1.0], [0.1, 0.0]])) is None
+    assert checks._exact_float32(np.array([[0.0, 2.0**20], [2.0**-20, 0.0]])) is None
+    assert checks._exact_float32(np.array([[0.0, 2.0**20], [2.0**-2, 0.0]])) is not None
 
 
 def test_float32_slabs_refuse_negative_zero():
