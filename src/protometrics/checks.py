@@ -55,9 +55,9 @@ order. Such a matrix is scanned from a float32 copy, at half the bytes per
 pass; any other, in float64. Only the slabs change dtype: witnesses are
 float64 scalar sums as before, the pre-quadrangle threshold is applied to
 the float64 minimum, and a mask compares a float32 slab with the least
-float32 at or above its bound (``_least_float32_at_or_above``), which fails at the
-same entries. min_slack, count_violations and the witnesses are thus bit
-for bit those of the float64 scan.
+float32 at or above its bound (``_least_float32_at_or_above``), which
+fails at the same entries. min_slack, count_violations and the witnesses
+are thus bit for bit those of the float64 scan.
 """
 
 from __future__ import annotations
