@@ -12,7 +12,10 @@ over x (``_scan``). Per x it builds a slab in one reused (n, n) buffer
 indexed [y, z] (``_Slabs``): the outer sum a[y] + b[z] minus d(y, z), where
 a and b are each the row d(x, .) or the column d(., x). Each slab is read in
 (y, z) order, which also fixes which zero its minimum is when it holds both
-0.0 and -0.0.
+0.0 and -0.0. What does not change with x is made once per scan: a
+C-ordered copy of the columns, which points are symmetric, the diagonal
+and the bounds. The loop over x then runs only the kernels and Python float
+compares, and builds masks and witnesses only at an x where a pair fails.
 
 The outer sum is one BLAS product (``_OuterSum``), [a 1] @ [1; b], of an
 (n, 2) and a (2, n) matrix that are allocated once per scan. Entry (y, z)
@@ -29,7 +32,8 @@ Two rules build each distinct slab once:
   column (``_READS_COLUMN``). Where row x equals column x bit for bit, as
   at every point of a symmetric matrix, the four types read the same
   arrays, so one slab serves every requested (type, form) pair. Bits are
-  compared, not values, so 0.0 and -0.0 differ.
+  compared, not values, so 0.0 and -0.0 differ; one vectorized compare
+  finds every such point.
 - A pre-quadrangle slack is its triangle slack minus d(x, x), and the slab
   is never changed after its minimum. Rounding is monotone, so the minimum
   of fl(s - d(x,x)) is exactly fl(min s - d(x,x)), which tells whether any
@@ -57,7 +61,11 @@ float64 scalar sums as before, the pre-quadrangle threshold is applied to
 the float64 minimum, and a mask compares a float32 slab with the least
 float32 at or above its bound (``_least_float32_at_or_above``), which
 fails at the same entries. min_slack, count_violations and the witnesses
-are thus bit for bit those of the float64 scan.
+are thus bit for bit those of the float64 scan. A scan that may stop at
+its first failing x builds the slab of x = 0 in float64 and certifies E
+only when it goes on (``_layouts``), so a rejection at x = 0 costs no n**2
+certificate. The generators' min-plus closure and ``min_farris_constant``
+take the same certificate.
 """
 
 from __future__ import annotations
@@ -154,8 +162,7 @@ _NO_ZEROS = np.empty(0, dtype=np.intp)
 
 def _is_negative_zero(v: np.ndarray) -> np.ndarray:
     """Where ``v`` holds -0.0: its bits, read as a signed integer, are the least one."""
-    bits = v.view(f"i{v.itemsize}")
-    return bits == np.iinfo(bits.dtype).min
+    return v.view(f"i{v.itemsize}") == -(1 << (8 * v.itemsize - 1))
 
 
 def _negative_zeros(v: np.ndarray) -> np.ndarray:
@@ -212,59 +219,99 @@ class _OuterSum:
     """Writes a[y] + b[z] into an (n, n) buffer as the rank-2 product [a 1] @ [1; b].
 
     Each entry equals fl(a[y] + b[z]) bit for bit (see the module docstring),
-    except that -0.0 + -0.0 may come out +0.0. Those entries are set back
-    from ``a_zeros`` and ``b_zeros``, the indices of every -0.0 of a and b.
+    except that -0.0 + -0.0 may come out +0.0; ``_restore_negative_zeros``
+    sets those back. ``a`` and ``b`` are the views of the operands ``lhs`` and
+    ``rhs`` that hold a and b: a hot loop writes them and calls
+    ``np.matmul(lhs, rhs, out)`` itself.
     """
 
-    __slots__ = ("_lhs", "_rhs")
+    __slots__ = ("lhs", "rhs", "a", "b")
 
     def __init__(self, n: int, dtype=np.float64):
-        self._lhs = np.ones((n, 2), dtype)  # column 0 holds a
-        self._rhs = np.ones((2, n), dtype)  # row 1 holds b
+        self.lhs = np.ones((n, 2), dtype)
+        self.rhs = np.ones((2, n), dtype)
+        self.a = self.lhs[:, 0]
+        self.b = self.rhs[1]
 
     def __call__(self, a, b, out, a_zeros, b_zeros) -> np.ndarray:
-        self._lhs[:, 0] = a
-        self._rhs[1] = b
-        np.matmul(self._lhs, self._rhs, out=out)
-        if len(a_zeros) and len(b_zeros):
-            out[np.ix_(a_zeros, b_zeros)] = -0.0
+        self.a[...] = a
+        self.b[...] = b
+        np.matmul(self.lhs, self.rhs, out=out)
+        _restore_negative_zeros(out, a_zeros, b_zeros)
         return out
 
 
-class _Slabs:
-    """The triangle slack slabs of one matrix E, each written into a given (n, n) buffer.
+def _restore_negative_zeros(out: np.ndarray, a_zeros, b_zeros) -> None:
+    """Set out[y, z] to -0.0 wherever a[y] and b[z] are, given the indices of each."""
+    if len(a_zeros) and len(b_zeros):
+        out[np.ix_(a_zeros, b_zeros)] = -0.0
 
-    The slabs take the dtype of E. An operand is row x or column x of E paired
-    with the indices of its -0.0 entries, which are found here, once for
-    every x.
+
+class _Slabs:
+    """The triangle slack slabs of one matrix A at each x < hi, written into a given (n, n) buffer.
+
+    The slabs take the dtype of A. Row x of A is ``A[x]`` and column x is
+    ``cols[x]``, a C-ordered copy of columns 0..hi-1 made once, or None when
+    no slab reads a column. ``zeros`` holds, for each x < hi, the indices of
+    the -0.0 entries of row x and those of column x, or None when they hold
+    none; a float32 A is certified (``_exact_float32``), so it holds none.
+    ``slab`` builds one slab, and ``_scan`` runs the same steps inline.
     """
 
-    __slots__ = ("E", "_outer", "_row_zeros", "_col_zeros")
+    __slots__ = ("A", "cols", "outer", "zeros")
 
-    def __init__(self, E: np.ndarray):
-        self.E = E
-        self._outer = _OuterSum(len(E), E.dtype)
-        neg = _is_negative_zero(E)
-        self._row_zeros, self._col_zeros = (
-            [np.flatnonzero(lines[x]) if held else _NO_ZEROS
-             for x, held in enumerate(lines.any(axis=1).tolist())]
-            for lines in (neg, neg.T)
-        )
+    def __init__(self, A: np.ndarray, hi: int | None = None, columns: bool = True):
+        hi = len(A) if hi is None else hi
+        self.A = A
+        self.cols = np.ascontiguousarray(A[:, :hi].T) if columns else None
+        self.outer = _OuterSum(len(A), A.dtype)
+        self.zeros = None
+        neg = _is_negative_zero(A) if A.dtype == np.float64 else None
+        if neg is not None and neg.any():
+            self.zeros = tuple(
+                [line.nonzero()[0] if held else _NO_ZEROS
+                 for line, held in zip(lines, lines.any(axis=1).tolist())]
+                for lines in (neg[:hi], neg[:, :hi].T)
+            )
 
-    def operands(self, x: int):
-        """Row x and column x of E, each as (values, indices of its -0.0 entries)."""
-        col = np.ascontiguousarray(self.E[:, x])
-        return (self.E[x], self._row_zeros[x]), (col, self._col_zeros[x])
+    def steps(self, reads):
+        """For each ((a reads a column, b reads a column), payload) of ``reads``:
+        the lines of a, those of b, their -0.0 indices or None, and the payload."""
+        lines, zeros = (self.A, self.cols), self.zeros
+        return [(lines[a], lines[b], zeros and (zeros[a], zeros[b]), payload)
+                for (a, b), payload in reads]
 
-    def slack(self, a, b, out: np.ndarray) -> np.ndarray:
-        """Write a[y] + b[z] - d(y,z) into ``out``, indexed [y, z], for operands a and b."""
-        self._outer(a[0], b[0], out, a[1], b[1])
-        return np.subtract(out, self.E, out=out)
+    def symmetric(self) -> list[bool]:
+        """For each x < hi, whether row x equals column x bit for bit (0.0 and -0.0 differ)."""
+        bits = f"i{self.A.itemsize}"
+        return (self.A[: len(self.cols)].view(bits) == self.cols.view(bits)).all(axis=1).tolist()
 
     def slab(self, x: int, ty: InequalityType, out: np.ndarray) -> np.ndarray:
         """Write the type-ty triangle slack lhs(x,y,z) - d(y,z) at x into ``out``."""
-        row, col = self.operands(x)
-        return self.slack(*(col if c else row for c in _READS_COLUMN[ty]), out)
+        a, b = _READS_COLUMN[ty]
+        lines = (self.A, self.cols)
+        zeros = (self.zeros[a][x], self.zeros[b][x]) if self.zeros else (_NO_ZEROS, _NO_ZEROS)
+        self.outer(lines[a][x], lines[b][x], out, *zeros)
+        return np.subtract(out, self.A, out=out)
+
+
+def _layouts(E: np.ndarray, columns: bool, lazy: bool):
+    """The slabs of E for each run of x of a scan, each with its run.
+
+    A scan reads float32 slabs of the certified copy of E when
+    ``_exact_float32`` gives one, and float64 slabs otherwise. A ``lazy``
+    scan, one that may end after x = 0, reads that first slab in float64 and
+    certifies E only when it goes on, so a rejection at x = 0 pays no n**2
+    certificate. Both slabs at x = 0 hold the same bits.
+    """
+    n = len(E)
+    lo = 0
+    if lazy:
+        yield _Slabs(E, 1, columns), range(1)
+        lo = 1
+    if lo < n:
+        F = _exact_float32(E)
+        yield _Slabs(E if F is None else F, n, columns), range(lo, n)
 
 
 def _leading_hits(mask: np.ndarray, room: int) -> list[tuple[int, int]]:
@@ -297,63 +344,107 @@ def _scan(
     count_checked is (x + 1) * n**2, and count_violations, min_slack and the
     witnesses count only those slabs. A passing pair scans every x, so its
     verdict is the full scan's.
+
+    Everything that does not change with x is set up once per run of x: the
+    operand lines of each distinct type, which points are symmetric and the
+    bounds. Per x and distinct slab the loop writes two operand lines, runs
+    the product, the subtraction and the minimum, and compares Python floats;
+    masks and witnesses are built only at an x where some pair fails.
     """
     _validate_cap(max_witnesses)
     E = M.entries
     n = M.n
     labels = M.labels
-    by_type = {ty: [k for k, kind in enumerate(kinds) if kind[0] is ty] for ty, _ in kinds}
-    F = _exact_float32(E)
-    slabs = _Slabs(E if F is None else F)
-    S = np.empty((n, n), slabs.E.dtype)
-    mask = np.empty((n, n), dtype=bool)
+    # Each distinct type builds one slab per x for its (k, with_self_term)
+    # pairs. Where row x equals column x bit for bit, every type reads the
+    # same operands, so the first type's slab serves every pair.
+    by_type: dict[InequalityType, list[tuple[int, bool]]] = {}
+    for k, (ty, self_term) in enumerate(kinds):
+        by_type.setdefault(ty, []).append((k, self_term))
+    reads = [(_READS_COLUMN[ty], pairs) for ty, pairs in by_type.items()]
+    shared = len(reads) > 1
+    every = [(reads[0][0], [(k, self_term) for k, (_, self_term) in enumerate(kinds)])]
+    columns = any(a or b for (a, b), _ in reads)
+    diag = E.diagonal().tolist()
+    neg_eps = -tol.eps_ineq
+    cuts: dict[float, float] = {}  # tol.ineq_threshold(d) by d
     mins = [math.inf] * len(kinds)
     violations = [0] * len(kinds)
     found: list[list[ViolationWitness]] = [[] for _ in kinds]
+    mask = np.empty((n, n), dtype=bool)
+    matmul, subtract = np.matmul, np.subtract
+    # Every run of x writes its slabs into one buffer, sized by the first run,
+    # whose dtype is the widest: at n=200, a float32 run slowed by 10-20% when
+    # its slab buffer was made while the float64 one was still alive.
+    buffer = np.empty(0, np.uint8)
     scanned = n
-    for x in range(n):
-        d = float(E[x, x])
-        row, col = slabs.operands(x)
-        distinct = by_type
-        # Where row x equals column x bit for bit, every type reads the same operands.
-        if len(by_type) > 1 and row[0].tobytes() == col[0].tobytes():
-            distinct = {kinds[0][0]: range(len(kinds))}
-        cut = None  # tol.ineq_threshold(d), found at the first failing pre-quadrangle pair
-        for ty, ks in distinct.items():
-            a, b = (col if c else row for c in _READS_COLUMN[ty])
-            low = float(slabs.slack(a, b, S).min())
-            # The pairs failing at x, by the bound that S falls below where they
-            # fail: -eps_ineq for S, ineq_threshold(d) for S - d(x,x). Equal
-            # bounds share a mask, as both forms do when d(x,x) is zero.
-            groups: dict[float, list[int]] = {}
-            for k in ks:
-                self_term = kinds[k][1]
-                # Rounding is monotone, so min(fl(s - d)) = fl(min(s) - d).
-                m = low - d if self_term else low
-                if m < mins[k]:
-                    mins[k] = m
-                if tol.ineq_fails(m):
-                    if self_term and cut is None:
-                        cut = tol.ineq_threshold(d)
-                    groups.setdefault(cut if self_term else -tol.eps_ineq, []).append(k)
-            for bound, group in groups.items():
-                below = bound if F is None else _least_float32_at_or_above(bound)
-                count = int(np.count_nonzero(np.less(S, below, out=mask)))
-                at = _leading_hits(mask, max(max_witnesses - len(found[k]) for k in group))
-                for k in group:
-                    violations[k] += count
-                    for y, z in at[: max_witnesses - len(found[k])]:
-                        a, b = (E[:, x] if c else E[x] for c in _READS_COLUMN[kinds[k][0]])
-                        lhs = float(a[y]) + float(b[z])
-                        rhs = float(E[y, z])
-                        s = lhs - rhs
-                        if kinds[k][1]:
-                            rhs, s = rhs + d, s - d
-                        w = ViolationWitness(labels[x], labels[y], labels[z], lhs, rhs, -s)
-                        found[k].append(w)
-        if stop_at_first_failure and all(violations):
-            scanned = x + 1
-            break
+    for slabs, xs in _layouts(E, columns, stop_at_first_failure):
+        A, outer = slabs.A, slabs.outer
+        left, right, a_op, b_op = outer.lhs, outer.rhs, outer.a, outer.b
+        if not len(buffer):
+            buffer = np.empty(n * n * A.itemsize, np.uint8)
+        S = buffer[: n * n * A.itemsize].view(A.dtype).reshape(n, n)
+        f32 = A.dtype == np.float32
+        distinct = slabs.steps(reads)
+        plan = [distinct] * xs.stop
+        if shared:
+            at_symmetric = slabs.steps(every)
+            plan = [at_symmetric if s else distinct for s in slabs.symmetric()]
+        belows: dict[float, float] = {}  # what S is compared with, by bound
+        for x in xs:
+            d = diag[x]
+            for a_lines, b_lines, signed, pairs in plan[x]:
+                a_op[...] = a_lines[x]
+                b_op[...] = b_lines[x]
+                matmul(left, right, out=S)
+                if signed:
+                    _restore_negative_zeros(S, signed[0][x], signed[1][x])
+                subtract(S, A, out=S)
+                low = float(S.min())
+                failing = []
+                for k, self_term in pairs:
+                    # Rounding is monotone, so min(fl(s - d)) = fl(min(s) - d).
+                    m = low - d if self_term else low
+                    if m < mins[k]:
+                        mins[k] = m
+                    if m < neg_eps:  # tol.ineq_fails(m)
+                        failing.append(k)
+                if not failing:
+                    continue
+                # The pairs failing at x, by the bound that S falls below where
+                # they fail: -eps_ineq for S, ineq_threshold(d) for S - d(x,x).
+                # Equal bounds share a mask, as both forms do when d(x,x) is zero.
+                groups: dict[float, list[int]] = {}
+                for k in failing:
+                    bound = neg_eps
+                    if kinds[k][1]:
+                        bound = cuts.get(d)
+                        if bound is None:
+                            bound = cuts[d] = tol.ineq_threshold(d)
+                    groups.setdefault(bound, []).append(k)
+                for bound, group in groups.items():
+                    below = belows.get(bound)
+                    if below is None:
+                        below = belows[bound] = _least_float32_at_or_above(bound) if f32 else bound
+                    count = int(np.count_nonzero(np.less(S, below, out=mask)))
+                    at = _leading_hits(mask, max(max_witnesses - len(found[k]) for k in group))
+                    for k in group:
+                        violations[k] += count
+                        for y, z in at[: max_witnesses - len(found[k])]:
+                            a, b = (E[:, x] if c else E[x] for c in _READS_COLUMN[kinds[k][0]])
+                            lhs = float(a[y]) + float(b[z])
+                            rhs = float(E[y, z])
+                            s = lhs - rhs
+                            if kinds[k][1]:
+                                rhs, s = rhs + d, s - d
+                            w = ViolationWitness(labels[x], labels[y], labels[z], lhs, rhs, -s)
+                            found[k].append(w)
+            if stop_at_first_failure and all(violations):
+                break
+        else:
+            continue
+        scanned = x + 1
+        break
     checked = scanned * n * n
     return [_verdict(found[k], mins[k], checked, violations[k]) for k in range(len(kinds))]
 
@@ -472,6 +563,28 @@ def check_transition(
     With ``for_log_transform=True`` the verdict is NOT_APPLICABLE whenever
     some entry is <= 0, since the entrywise -ln bridge to the protometric
     test is undefined there.
+
+    An x is skipped without a mask when its least rounded slack m lies above
+    a floor that every failing triple's rounded slack is at or below. A NaN
+    slack makes m NaN, which never exceeds a floor. With e = eps_ineq, the
+    bound is B = fl(fl(rhs * c) + e) with c = fl(1 + e), and fl has a relative
+    error of at most 2**-53 on a normal result (a subnormal rhs * c is off by
+    at most 2**-1074, which changes nothing below). Where some rhs at x is < 0
+    there is no floor. Where every rhs at x is >= 0:
+
+    - If e >= 2**-40, the floor is -e/2, whatever the magnitude of rhs. With
+      k = 1 - 2**-53, c >= (1 + e) k, so rhs * c and B do not round below
+      rhs (1 + e) k**2 and (rhs (1 + e) k**2 + e) k, and a failing triple has
+      rhs - lhs < rhs - B <= -rhs ((1 + e) k**3 - 1) - e k. The first term
+      is <= 0, as (1 + e) k**3 >= 1 + e - 3 * 2**-53 (1 + e) > 1, and the
+      second rounds to at most -e (1 - 2**-52) <= -e/2.
+    - Else, while every rhs <= e * 2**50 and e >= 2**-1000, the floor is
+      also -e/2: rounding is monotone, so B >= fl(rhs + e), which lies
+      within 2**-53 (rhs + e) of rhs + e, and a failing triple has rhs - lhs
+      below -e/2.
+    - Otherwise the floor is 0, as B >= rhs.
+
+    Each floor is a proof about transition_fails, not a tolerance rule.
     """
     _validate_cap(max_witnesses)
     E = M.entries
@@ -481,6 +594,7 @@ def check_transition(
         return PropertyVerdict(Status.NOT_APPLICABLE, (), None, 0, 0)
     low, high = float(E.min()), float(E.max())
     top = max(-low, high)
+    eps = tol.eps_ineq
     min_slack = math.inf
     violations = 0
     witnesses: list[ViolationWitness] = []
@@ -494,28 +608,21 @@ def check_transition(
         m = float(np.subtract(rhs, lhs, out=rhs).min())
         if m < min_slack:
             min_slack = m
-        # Skip the mask when no triple at x can fail. Every rhs is >= 0 unless
-        # d and some entry have opposite signs, and rounding is monotone, so
-        # the bound fl(fl(rhs * (1 + eps)) + eps) is >= fl(rhs + eps), which
-        # lies within 2**-53 (rhs + eps) of rhs + eps for a normal eps. While
-        # every rhs <= eps * 2**50, a failing triple thus has rhs - lhs below
-        # -eps / 2, and otherwise below 0; its rounded slack is then <= floor.
-        # A NaN slack makes m NaN, which never exceeds floor. eps is eps_ineq:
-        # the floor is a proof about transition_fails, not a tolerance rule.
-        small = tol.eps_ineq >= 2.0**-1000 and top * abs(d) <= tol.eps_ineq * 2.0**50
-        floor = -0.5 * tol.eps_ineq if small else 0.0
-        if m > floor and not (d > 0 > low or d < 0 < high):
-            continue
-        np.multiply(E, d, out=rhs)  # rhs held the slack; the witnesses need rhs itself
-        hits = int(np.count_nonzero(tol.transition_fails(lhs, rhs, out=mask)))
+        if not (d > 0 > low or d < 0 < high):  # every rhs >= 0
+            small = eps >= 2.0**-40 or (eps >= 2.0**-1000 and top * abs(d) <= eps * 2.0**50)
+            if m > (-0.5 * eps if small else 0.0):
+                continue
+        # rhs held the slack. The rule needs rhs itself, and turns it into the
+        # bound in place, so each witness multiplies its own rhs again.
+        np.multiply(E, d, out=rhs)
+        hits = int(np.count_nonzero(tol.transition_fails(lhs, rhs, out=mask, scratch=rhs)))
         if hits == 0:
             continue
         violations += hits
         for y, z in _leading_hits(mask, max_witnesses - len(witnesses)):
-            witnesses.append(
-                ViolationWitness(labels[x], labels[y], labels[z], float(lhs[y, z]),
-                                 float(rhs[y, z]), float(lhs[y, z] - rhs[y, z]))
-            )
+            left, right = float(lhs[y, z]), float(E[y, z]) * d
+            witnesses.append(ViolationWitness(labels[x], labels[y], labels[z], left, right,
+                                              left - right))
     return _verdict(witnesses, min_slack, n**3, violations)
 
 

@@ -18,11 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import (
-    _NO_ZEROS,
     _READS_COLUMN,
     _OuterSum,
     _Slabs,
+    _exact_float32,
     _negative_zeros,
+    _restore_negative_zeros,
     check_prequadrangle,
     first_violation,
 )
@@ -137,17 +138,30 @@ def shortest_path_closure(M: LabeledMatrix) -> LabeledMatrix:
 
 
 def _closure(E: np.ndarray) -> np.ndarray:
-    out = E.copy()
-    n = E.shape[0]
-    outer, via = _OuterSum(n), np.empty((n, n))
+    """The min-plus closure of E, relaxed through each k in turn by np.minimum.
+
+    A nonnegative E that ``_exact_float32`` certifies is closed in float32,
+    with the same bits. Every entry of the closure then lies in [0, max E]
+    and is a multiple of the certificate's unit u, so every sum a + b is an
+    integer of at most 2 max E < 2**24 units, exact in either dtype, and a
+    minimum is one of its operands. Any other E is closed in float64.
+    """
+    F = _exact_float32(E) if float(E.min()) >= 0 else None
+    out = E.copy() if F is None else F
+    n = len(out)
+    outer, via = _OuterSum(n, out.dtype), np.empty((n, n), out.dtype)
+    left, right, a, b = outer.lhs, outer.rhs, outer.a, outer.b
     # A sum is -0.0 only when both its terms are, and a minimum is one of its
     # operands, so no column or row of out holds a -0.0 unless E does.
-    signed = len(_negative_zeros(E)) > 0
+    signed = F is None and len(_negative_zeros(E)) > 0
     for k in range(n):
-        col, row = out[:, k], out[k]
-        zeros = (_negative_zeros(col), _negative_zeros(row)) if signed else (_NO_ZEROS, _NO_ZEROS)
-        np.minimum(out, outer(col, row, via, *zeros), out=out)
-    return out
+        a[...] = out[:, k]
+        b[...] = out[k]
+        np.matmul(left, right, out=via)
+        if signed:
+            _restore_negative_zeros(via, _negative_zeros(a), _negative_zeros(b))
+        np.minimum(out, via, out=out)
+    return out if F is None else out.astype(np.float64)
 
 
 def _closed(rng: SplitMix64, n: int, scale: float, symmetric: bool) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 from .checks import (
     BASE_FLAGS,
     DERIVED_FLAGS,
+    _exact_float32,
     _Slabs,
     check_prequadrangle,
     degenerate_pairs,
@@ -335,7 +336,11 @@ def min_farris_constant(
     a triangle or nonnegativity check.
     """
     G = gromov_product(d, x0, tol).entries
-    slabs, slab = _Slabs(G), np.empty_like(G)
+    # On a certified G each slack is exact in float32 (see checks), so the
+    # float32 maxima are the float64 ones bit for bit.
+    F = _exact_float32(G)
+    slabs = _Slabs(G if F is None else F, columns=False)
+    slab = np.empty_like(slabs.A)
     tops = [float(slabs.slab(x, InequalityType.OUTGOING, slab).max()) for x in range(d.n)]
     return max([0.0, *tops, float(G.max())])
 

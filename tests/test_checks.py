@@ -1,7 +1,5 @@
-import contextlib
 import itertools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +25,7 @@ from protometrics import (
     perturb_violation,
 )
 
+from certificate import certificate_paths
 from oracles import LHS, additive_scan, diag_interval, strict_scan, transition_scan
 
 PATH = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
@@ -522,19 +521,9 @@ ALL_KINDS = [(ty, self_term) for ty in InequalityType for self_term in (False, T
 MAX_UNITS = 2**24 // 3  # the largest |k| whose three-term slack fits the float32 significand
 
 
-@contextlib.contextmanager
 def slab_paths(force_float64=False):
     """The path each additive scan in the block took: True for float32 slabs."""
-    taken = []
-    real = checks._exact_float32
-
-    def spy(E):
-        F = None if force_float64 else real(E)
-        taken.append(F is not None)
-        return F
-
-    with mock.patch.object(checks, "_exact_float32", spy):
-        yield taken
+    return certificate_paths(checks, force_float64)
 
 
 @st.composite
@@ -564,7 +553,9 @@ def test_float32_slabs_give_the_float64_verdicts(case, cap, stop):
         got = checks._scan(M, tol, ALL_KINDS, cap, stop_at_first_failure=stop)
     with slab_paths(force_float64=True) as forced:
         want = checks._scan(M, tol, ALL_KINDS, cap, stop_at_first_failure=stop)
-    assert (taken, forced) == ([True], [False])
+    # A scan that may stop early certifies E only once it goes on past x = 0.
+    certified = not stop or got[0].count_checked > M.n**2
+    assert (taken, forced) == (([True], [False]) if certified else ([], []))
     assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
@@ -631,4 +622,74 @@ def test_float32_slab_masks_keep_each_bound_exact(prequad):
     assert (0, 1, 2) in bad
     assert v.count_violations == len(bad)
     idx = {lab: i for i, lab in enumerate(M.labels)}
+    assert [(idx[w.x], idx[w.y], idx[w.z]) for w in v.witnesses] == bad
+
+
+@pytest.mark.parametrize("ty", list(InequalityType))
+def test_float32_scan_finds_a_failure_at_the_last_x(ty):
+    # Points on a line: x1 at 0, x2 at 2, the last point at 1 and the others
+    # far away. Raising d(x1, x2) by 1/2 breaks the type-t triangle only
+    # through the last point, the one point strictly between x1 and x2.
+    n = 7
+    at = np.array([0.0, 2.0, *(10.0 * k for k in range(1, n - 2)), 1.0])
+    E = np.abs(at[:, None] - at[None, :])
+    E[0, 1] += 0.5
+    M = lm(E)
+    idx = {lab: k for k, lab in enumerate(M.labels)}
+    for check, prequad in ((check_triangle, False), (check_prequadrangle, True)):
+        bad, _ = additive_scan(E.tolist(), ty.value, prequad)
+        options = [{}] if check is check_triangle else [{}, {"stop_at_first_failure": True}]
+        for extra in options:
+            with slab_paths() as taken:
+                got = check(M, ty, max_witnesses=3, **extra)
+            with slab_paths(force_float64=True):
+                want = check(M, ty, max_witnesses=3, **extra)
+            assert repr(got) == repr(want)
+            scanned = [t for t in bad if t[0] == bad[0][0]] if extra and bad else bad
+            assert taken == ([] if extra and bad and bad[0][0] == 0 else [True])
+            assert [(idx[w.x], idx[w.y], idx[w.z]) for w in got.witnesses] == scanned[:3]
+            assert got.count_violations == len(scanned)
+            assert got.count_checked == (bad[0][0] + 1 if extra and bad else n) * n * n
+    assert additive_scan(E.tolist(), "t", False)[0] == [(n - 1, 0, 1)]
+
+
+@st.composite
+def near_tight_positive_matrices(draw):
+    """Positive matrices with entries up to 1e150 and eps near 2**-40.
+
+    Half are f(y) g(z) for powers of two f and g, whose products are exact,
+    so every triple is tight. One triple (x, y, z), y and z other than x,
+    then has s(y, z) set so that s(y,x) s(x,z) exceeds s(y,z) s(x,x) (1 + eps)
+    by about k eps, which fails the transition check just past the
+    tolerance when k > 1.
+    """
+    n = draw(st.integers(2, 5))
+    if draw(st.booleans()):
+        f, g = (np.ldexp(1.0, draw(st.lists(st.integers(-10, 10), min_size=n, max_size=n)))
+                for _ in range(2))
+        E = f[:, None] * g[None, :]
+    else:
+        mantissa = st.floats(1.0, 10.0, exclude_max=True)
+        cell = st.builds(lambda m, p: m * 10.0**p, mantissa, st.integers(-150, 149))
+        E = np.array(draw(st.lists(cell, min_size=n * n, max_size=n * n))).reshape(n, n)
+    eps = math.ldexp(draw(st.floats(1.0, 2.0, exclude_max=True)), draw(st.integers(-41, -38)))
+    x = draw(st.integers(0, n - 1))
+    y, z = (draw(st.sampled_from([i for i in range(n) if i != x])) for _ in range(2))
+    k = draw(st.sampled_from([0.5, 1.0, 1.0625, 1.125, 1.5, 3.0]))
+    with np.errstate(over="ignore"):
+        target = (E[y, x] * E[x, z] - k * eps) / E[x, x] / (1.0 + eps)
+    if 0 < target < 1e150:
+        E[y, z] = target
+    return E, eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_tight_positive_matrices())
+def test_transition_mask_skip_keeps_every_failure_of_a_positive_matrix(case):
+    E, eps = case
+    n = len(E)
+    v = check_transition(lm(E), ToleranceConfig(eps_ineq=eps), max_witnesses=n**3 + 1)
+    bad = transition_scan(E.tolist(), eps)
+    assert v.count_violations == len(bad)
+    idx = {lab: k for k, lab in enumerate(auto_labels(n))}
     assert [(idx[w.x], idx[w.y], idx[w.z]) for w in v.witnesses] == bad

@@ -30,6 +30,7 @@ from protometrics import (
 
 from protometrics.checks import first_violation
 
+from certificate import certificate_paths
 from oracles import broadcast_closure, generated, minplus_closure, perturb_target, splitmix64
 
 GRID = 2.0 ** -20
@@ -243,6 +244,42 @@ def test_closure_matches_the_broadcast_closure_bit_for_bit(cells):
     E = np.array(cells).reshape(n, n)
     got = generators._closure(E)
     assert np.array_equal(got.view(np.int64), broadcast_closure(E).view(np.int64))
+
+
+def drawn_edges(n, seed, scale, symmetric):
+    """The edges gen_metric (symmetric) or gen_quasi_semi_metric draws, before the closure."""
+    off = ~np.eye(n, dtype=bool)
+    drawn = np.triu(off) if symmetric else off
+    E = np.zeros((n, n))
+    E[drawn] = SplitMix64(seed)._units_pos(int(np.count_nonzero(drawn))) * scale
+    return E + E.T if symmetric else E
+
+
+@pytest.mark.parametrize("scale", [1.0, 10.0, 2.0**40])
+def test_float32_closure_is_the_float64_closure_bit_for_bit(scale):
+    for n, seed, symmetric in ((2, 1, True), (40, 2, True), (40, 3, False), (64, 4, False)):
+        E = drawn_edges(n, seed, scale, symmetric)
+        with certificate_paths(generators) as taken:
+            got = generators._closure(E)
+        with certificate_paths(generators, force_float64=True):
+            want = generators._closure(E)
+        assert taken == [True]
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got.view(np.int64), broadcast_closure(E).view(np.int64))
+
+
+def test_float32_closure_refuses_off_grid_negative_and_negative_zero_edges():
+    E = drawn_edges(12, 5, 10.0, False)
+    signed_zero = E.copy()
+    signed_zero[0, 0] = -0.0
+    # On the grid, but a negative cycle drives the closure past 2**24 units.
+    negative = np.where(np.eye(12, dtype=bool), 0.0, E - 5.0)
+    for F, paths in ((E * (1 + 2.0**-40), [False]), (signed_zero, [False]), (negative, [])):
+        with certificate_paths(generators) as taken:
+            got = generators._closure(F)
+        assert taken == paths
+        assert np.array_equal(got.view(np.int64), broadcast_closure(F).view(np.int64))
 
 
 def test_perturb_two_point_metric_bumps_diagonal():

@@ -24,6 +24,7 @@ from protometrics import (
     compose,
     decompose,
     farris_transform,
+    gen_metric,
     gromov_product,
     log_transform,
     metrize,
@@ -31,11 +32,13 @@ from protometrics import (
     perturb_violation,
     potential_of,
     specialization_preorder,
+    transforms,
     transpose,
     zero_coordinates,
 )
 
-from oracles import preorder_structure
+from certificate import certificate_paths
+from oracles import farris_scan, preorder_structure
 
 PATH = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
 HDIFF = [[0.0, -1.0, -3.0], [1.0, 0.0, -2.0], [3.0, 2.0, 0.0]]
@@ -444,3 +447,34 @@ def test_scalar_arguments_must_be_real_numbers(site, bad):
     # Any real number that fits a float is accepted, numpy's real scalars included.
     for good in (2, np.int64(2), np.float32(2), Fraction(2)):
         SCALAR_SITES[site](good)
+
+
+def farris_constants(d, x0):
+    """min_farris_constant on float32 slabs of G, and with the float64 slabs forced."""
+    with certificate_paths(transforms) as taken:
+        got = min_farris_constant(d, x0)
+    with certificate_paths(transforms, force_float64=True):
+        want = min_farris_constant(d, x0)
+    assert taken == [True]
+    return got, want
+
+
+def test_float32_min_farris_constant_on_generated_metrics():
+    for n, seed in ((50, 1), (80, 7), (120, 11)):
+        d = gen_metric(GenSpec(n, seed))
+        for x0 in (d.labels[0], d.labels[n // 2]):
+            got, want = farris_constants(d, x0)
+            assert got.hex() == want.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(0, 2**32), st.sampled_from([1.0, 2.0**-5, 8.0, 2.0**40]),
+       st.data())
+def test_float32_min_farris_constant_on_grid_metrics(n, seed, scale, data):
+    # Edges k * 2**-20 * scale, k <= 2**20, make G a multiple of 2**-21 * scale
+    # no larger than scale, which a power-of-two scale certifies.
+    d = gen_metric(GenSpec(n, seed, scale))
+    x0 = d.labels[data.draw(st.integers(0, n - 1))]
+    got, want = farris_constants(d, x0)
+    assert got.hex() == want.hex()
+    assert got == farris_scan(gromov_product(d, x0).entries.tolist())
