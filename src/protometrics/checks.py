@@ -8,22 +8,23 @@ vectorized one x-slab at a time so memory stays O(n^2) while the scan order
 remains row-major in (x, y, z).
 
 The triangle and pre-quadrangle checks of all four types share one pass
-over x (``_scan``). Per x it builds a slab in one reused (n, n) buffer
-indexed [y, z] (``_Slabs``): the outer sum a[y] + b[z] minus d(y, z), where
-a and b are each the row d(x, .) or the column d(., x). Each slab is read in
-(y, z) order, which also fixes which zero its minimum is when it holds both
-0.0 and -0.0. What does not change with x is made once per scan: a
-C-ordered copy of the columns, which points are symmetric, the diagonal
-and the bounds. The loop over x then runs only the kernels and Python float
-compares, and builds masks and witnesses only at an x where a pair fails.
+over x (``_scan``). Per x it builds a slab in an (n, n) buffer reused
+across x, indexed [y, z] (``_Slabs``): the outer sum a[y] + b[z] minus
+d(y, z), where a and b are each the row d(x, .) or the column d(., x). Each
+slab is read in (y, z) order, which also fixes which zero its minimum is
+when it holds both 0.0 and -0.0. What does not change with x is made once
+per run of x: a C-ordered copy of the columns, which points are symmetric
+and the diagonal. The loop over x then runs only the kernels and Python
+float compares, and builds masks and witnesses only at an x where a pair
+fails.
 
 The outer sum is one BLAS product (``_OuterSum``), [a 1] @ [1; b], of an
-(n, 2) and a (2, n) matrix that are allocated once per scan. Entry (y, z)
-is a[y]*1 + 1*b[z]: both products are exact, so one rounding is left, and
-IEEE rounding makes it fl(a[y] + b[z]) bit for bit, whatever order the
-kernel sums in and whether it fuses the multiply and add. The one exception
-is the sign of a zero: a kernel that starts its sum at +0.0 turns
--0.0 + -0.0 into +0.0. The -0.0 entries of E are found once per scan, so
+(n, 2) and a (2, n) matrix that are allocated once per run of x. Entry
+(y, z) is a[y]*1 + 1*b[z]: both products are exact, so one rounding is
+left, and IEEE rounding makes it fl(a[y] + b[z]) bit for bit, whatever
+order the kernel sums in and whether it fuses the multiply and add. The one
+exception is the sign of a zero: a kernel that starts its sum at +0.0 turns
+-0.0 + -0.0 into +0.0. The -0.0 entries of E are found once per run, so
 only the slabs whose a and b both hold one set those entries back to -0.0.
 
 Two rules build each distinct slab once:
@@ -162,7 +163,8 @@ _NO_ZEROS = np.empty(0, dtype=np.intp)
 
 def _is_negative_zero(v: np.ndarray) -> np.ndarray:
     """Where ``v`` holds -0.0: its bits, read as a signed integer, are the least one."""
-    return v.view(f"i{v.itemsize}") == -(1 << (8 * v.itemsize - 1))
+    bits = v.view(f"i{v.itemsize}")
+    return bits == np.iinfo(bits.dtype).min
 
 
 def _negative_zeros(v: np.ndarray) -> np.ndarray:
@@ -219,32 +221,25 @@ class _OuterSum:
     """Writes a[y] + b[z] into an (n, n) buffer as the rank-2 product [a 1] @ [1; b].
 
     Each entry equals fl(a[y] + b[z]) bit for bit (see the module docstring),
-    except that -0.0 + -0.0 may come out +0.0; ``_restore_negative_zeros``
-    sets those back. ``a`` and ``b`` are the views of the operands ``lhs`` and
-    ``rhs`` that hold a and b: a hot loop writes them and calls
-    ``np.matmul(lhs, rhs, out)`` itself.
+    except that -0.0 + -0.0 may come out +0.0. Those entries are set back
+    from ``a_zeros`` and ``b_zeros``, the indices of every -0.0 of a and b.
     """
 
-    __slots__ = ("lhs", "rhs", "a", "b")
+    __slots__ = ("_lhs", "_rhs", "_a", "_b")
 
     def __init__(self, n: int, dtype=np.float64):
-        self.lhs = np.ones((n, 2), dtype)
-        self.rhs = np.ones((2, n), dtype)
-        self.a = self.lhs[:, 0]
-        self.b = self.rhs[1]
+        self._lhs = np.ones((n, 2), dtype)
+        self._rhs = np.ones((2, n), dtype)
+        self._a = self._lhs[:, 0]  # the view of the operands that holds a
+        self._b = self._rhs[1]
 
-    def __call__(self, a, b, out, a_zeros, b_zeros) -> np.ndarray:
-        self.a[...] = a
-        self.b[...] = b
-        np.matmul(self.lhs, self.rhs, out=out)
-        _restore_negative_zeros(out, a_zeros, b_zeros)
+    def __call__(self, a, b, out, a_zeros=_NO_ZEROS, b_zeros=_NO_ZEROS) -> np.ndarray:
+        self._a[...] = a
+        self._b[...] = b
+        np.matmul(self._lhs, self._rhs, out=out)
+        if len(a_zeros) and len(b_zeros):
+            out[np.ix_(a_zeros, b_zeros)] = -0.0
         return out
-
-
-def _restore_negative_zeros(out: np.ndarray, a_zeros, b_zeros) -> None:
-    """Set out[y, z] to -0.0 wherever a[y] and b[z] are, given the indices of each."""
-    if len(a_zeros) and len(b_zeros):
-        out[np.ix_(a_zeros, b_zeros)] = -0.0
 
 
 class _Slabs:
@@ -253,9 +248,10 @@ class _Slabs:
     The slabs take the dtype of A. Row x of A is ``A[x]`` and column x is
     ``cols[x]``, a C-ordered copy of columns 0..hi-1 made once, or None when
     no slab reads a column. ``zeros`` holds, for each x < hi, the indices of
-    the -0.0 entries of row x and those of column x, or None when they hold
-    none; a float32 A is certified (``_exact_float32``), so it holds none.
-    ``slab`` builds one slab, and ``_scan`` runs the same steps inline.
+    the -0.0 entries of row x and those of column x; a float32 A is certified
+    (``_exact_float32``), so it holds none. ``slab`` builds one slab, and
+    ``_scan`` makes the same two calls with the lines that ``steps`` looks
+    up once.
     """
 
     __slots__ = ("A", "cols", "outer", "zeros")
@@ -265,7 +261,7 @@ class _Slabs:
         self.A = A
         self.cols = np.ascontiguousarray(A[:, :hi].T) if columns else None
         self.outer = _OuterSum(len(A), A.dtype)
-        self.zeros = None
+        self.zeros = ([_NO_ZEROS] * hi,) * 2
         neg = _is_negative_zero(A) if A.dtype == np.float64 else None
         if neg is not None and neg.any():
             self.zeros = tuple(
@@ -276,10 +272,9 @@ class _Slabs:
 
     def steps(self, reads):
         """For each ((a reads a column, b reads a column), payload) of ``reads``:
-        the lines of a, those of b, their -0.0 indices or None, and the payload."""
+        the lines of a, those of b, the -0.0 indices of each, and the payload."""
         lines, zeros = (self.A, self.cols), self.zeros
-        return [(lines[a], lines[b], zeros and (zeros[a], zeros[b]), payload)
-                for (a, b), payload in reads]
+        return [(lines[a], lines[b], zeros[a], zeros[b], payload) for (a, b), payload in reads]
 
     def symmetric(self) -> list[bool]:
         """For each x < hi, whether row x equals column x bit for bit (0.0 and -0.0 differ)."""
@@ -290,8 +285,7 @@ class _Slabs:
         """Write the type-ty triangle slack lhs(x,y,z) - d(y,z) at x into ``out``."""
         a, b = _READS_COLUMN[ty]
         lines = (self.A, self.cols)
-        zeros = (self.zeros[a][x], self.zeros[b][x]) if self.zeros else (_NO_ZEROS, _NO_ZEROS)
-        self.outer(lines[a][x], lines[b][x], out, *zeros)
+        self.outer(lines[a][x], lines[b][x], out, self.zeros[a][x], self.zeros[b][x])
         return np.subtract(out, self.A, out=out)
 
 
@@ -346,10 +340,10 @@ def _scan(
     verdict is the full scan's.
 
     Everything that does not change with x is set up once per run of x: the
-    operand lines of each distinct type, which points are symmetric and the
-    bounds. Per x and distinct slab the loop writes two operand lines, runs
-    the product, the subtraction and the minimum, and compares Python floats;
-    masks and witnesses are built only at an x where some pair fails.
+    operand lines of each distinct type and which points are symmetric. Per
+    x and distinct slab the loop writes two operand lines, runs the product,
+    the subtraction and the minimum, and compares Python floats; masks and
+    witnesses are built only at an x where some pair fails.
     """
     _validate_cap(max_witnesses)
     E = M.entries
@@ -366,48 +360,35 @@ def _scan(
     every = [(reads[0][0], [(k, self_term) for k, (_, self_term) in enumerate(kinds)])]
     columns = any(a or b for (a, b), _ in reads)
     diag = E.diagonal().tolist()
-    neg_eps = -tol.eps_ineq
-    cuts: dict[float, float] = {}  # tol.ineq_threshold(d) by d
+    fails = tol.ineq_fails
     mins = [math.inf] * len(kinds)
     violations = [0] * len(kinds)
     found: list[list[ViolationWitness]] = [[] for _ in kinds]
     mask = np.empty((n, n), dtype=bool)
-    matmul, subtract = np.matmul, np.subtract
-    # Every run of x writes its slabs into one buffer, sized by the first run,
-    # whose dtype is the widest: at n=200, a float32 run slowed by 10-20% when
-    # its slab buffer was made while the float64 one was still alive.
-    buffer = np.empty(0, np.uint8)
+    subtract = np.subtract
     scanned = n
     for slabs, xs in _layouts(E, columns, stop_at_first_failure):
         A, outer = slabs.A, slabs.outer
-        left, right, a_op, b_op = outer.lhs, outer.rhs, outer.a, outer.b
-        if not len(buffer):
-            buffer = np.empty(n * n * A.itemsize, np.uint8)
-        S = buffer[: n * n * A.itemsize].view(A.dtype).reshape(n, n)
+        S = np.empty((n, n), A.dtype)
         f32 = A.dtype == np.float32
         distinct = slabs.steps(reads)
         plan = [distinct] * xs.stop
         if shared:
             at_symmetric = slabs.steps(every)
             plan = [at_symmetric if s else distinct for s in slabs.symmetric()]
-        belows: dict[float, float] = {}  # what S is compared with, by bound
         for x in xs:
             d = diag[x]
-            for a_lines, b_lines, signed, pairs in plan[x]:
-                a_op[...] = a_lines[x]
-                b_op[...] = b_lines[x]
-                matmul(left, right, out=S)
-                if signed:
-                    _restore_negative_zeros(S, signed[0][x], signed[1][x])
-                subtract(S, A, out=S)
-                low = float(S.min())
+            cut = None  # tol.ineq_threshold(d), found at the first failing pre-quadrangle pair
+            for a_lines, b_lines, a_zeros, b_zeros, pairs in plan[x]:
+                outer(a_lines[x], b_lines[x], S, a_zeros[x], b_zeros[x])
+                low = float(subtract(S, A, out=S).min())
                 failing = []
                 for k, self_term in pairs:
                     # Rounding is monotone, so min(fl(s - d)) = fl(min(s) - d).
                     m = low - d if self_term else low
                     if m < mins[k]:
                         mins[k] = m
-                    if m < neg_eps:  # tol.ineq_fails(m)
+                    if fails(m):
                         failing.append(k)
                 if not failing:
                     continue
@@ -416,16 +397,11 @@ def _scan(
                 # Equal bounds share a mask, as both forms do when d(x,x) is zero.
                 groups: dict[float, list[int]] = {}
                 for k in failing:
-                    bound = neg_eps
-                    if kinds[k][1]:
-                        bound = cuts.get(d)
-                        if bound is None:
-                            bound = cuts[d] = tol.ineq_threshold(d)
-                    groups.setdefault(bound, []).append(k)
+                    if kinds[k][1] and cut is None:
+                        cut = tol.ineq_threshold(d)
+                    groups.setdefault(cut if kinds[k][1] else -tol.eps_ineq, []).append(k)
                 for bound, group in groups.items():
-                    below = belows.get(bound)
-                    if below is None:
-                        below = belows[bound] = _least_float32_at_or_above(bound) if f32 else bound
+                    below = _least_float32_at_or_above(bound) if f32 else bound
                     count = int(np.count_nonzero(np.less(S, below, out=mask)))
                     at = _leading_hits(mask, max(max_witnesses - len(found[k]) for k in group))
                     for k in group:
@@ -440,11 +416,10 @@ def _scan(
                             w = ViolationWitness(labels[x], labels[y], labels[z], lhs, rhs, -s)
                             found[k].append(w)
             if stop_at_first_failure and all(violations):
+                scanned = x + 1
                 break
-        else:
-            continue
-        scanned = x + 1
-        break
+        if scanned < n:
+            break
     checked = scanned * n * n
     return [_verdict(found[k], mins[k], checked, violations[k]) for k in range(len(kinds))]
 
@@ -612,17 +587,16 @@ def check_transition(
             small = eps >= 2.0**-40 or (eps >= 2.0**-1000 and top * abs(d) <= eps * 2.0**50)
             if m > (-0.5 * eps if small else 0.0):
                 continue
-        # rhs held the slack. The rule needs rhs itself, and turns it into the
-        # bound in place, so each witness multiplies its own rhs again.
-        np.multiply(E, d, out=rhs)
-        hits = int(np.count_nonzero(tol.transition_fails(lhs, rhs, out=mask, scratch=rhs)))
+        np.multiply(E, d, out=rhs)  # rhs held the slack; the witnesses need rhs itself
+        hits = int(np.count_nonzero(tol.transition_fails(lhs, rhs, out=mask)))
         if hits == 0:
             continue
         violations += hits
         for y, z in _leading_hits(mask, max_witnesses - len(witnesses)):
-            left, right = float(lhs[y, z]), float(E[y, z]) * d
-            witnesses.append(ViolationWitness(labels[x], labels[y], labels[z], left, right,
-                                              left - right))
+            witnesses.append(
+                ViolationWitness(labels[x], labels[y], labels[z], float(lhs[y, z]),
+                                 float(rhs[y, z]), float(lhs[y, z] - rhs[y, z]))
+            )
     return _verdict(witnesses, min_slack, n**3, violations)
 
 

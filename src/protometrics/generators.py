@@ -18,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import (
+    _NO_ZEROS,
     _READS_COLUMN,
     _OuterSum,
     _Slabs,
     _exact_float32,
     _negative_zeros,
-    _restore_negative_zeros,
     check_prequadrangle,
     first_violation,
 )
@@ -150,17 +150,13 @@ def _closure(E: np.ndarray) -> np.ndarray:
     out = E.copy() if F is None else F
     n = len(out)
     outer, via = _OuterSum(n, out.dtype), np.empty((n, n), out.dtype)
-    left, right, a, b = outer.lhs, outer.rhs, outer.a, outer.b
     # A sum is -0.0 only when both its terms are, and a minimum is one of its
     # operands, so no column or row of out holds a -0.0 unless E does.
     signed = F is None and len(_negative_zeros(E)) > 0
     for k in range(n):
-        a[...] = out[:, k]
-        b[...] = out[k]
-        np.matmul(left, right, out=via)
-        if signed:
-            _restore_negative_zeros(via, _negative_zeros(a), _negative_zeros(b))
-        np.minimum(out, via, out=out)
+        col, row = out[:, k], out[k]
+        zeros = (_negative_zeros(col), _negative_zeros(row)) if signed else (_NO_ZEROS, _NO_ZEROS)
+        np.minimum(out, outer(col, row, via, *zeros), out=out)
     return out if F is None else out.astype(np.float64)
 
 

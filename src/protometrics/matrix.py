@@ -116,16 +116,9 @@ class ToleranceConfig:
         """a > b, with slack a - b, fails unless slack > eps_strict; a NaN fails."""
         return np.logical_not(np.greater(slack, self.eps_strict, out=out), out=out)
 
-    def transition_fails(self, lhs, rhs, out=None, scratch=None):
-        """lhs <= rhs fails when lhs > rhs * (1 + eps_ineq) + eps_ineq; a NaN passes.
-
-        ``scratch``, an array shaped like rhs, receives the bound, so that
-        comparing arrays allocates nothing beyond ``out``.
-        """
-        if scratch is None:
-            return np.greater(lhs, rhs * (1.0 + self.eps_ineq) + self.eps_ineq, out=out)
-        bound = np.multiply(rhs, 1.0 + self.eps_ineq, out=scratch)
-        return np.greater(lhs, np.add(bound, self.eps_ineq, out=bound), out=out)
+    def transition_fails(self, lhs, rhs, out=None):
+        """lhs <= rhs fails when lhs > rhs * (1 + eps_ineq) + eps_ineq; a NaN passes."""
+        return np.greater(lhs, rhs * (1.0 + self.eps_ineq) + self.eps_ineq, out=out)
 
 
 DEFAULT_TOLERANCE = ToleranceConfig()
