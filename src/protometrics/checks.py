@@ -7,33 +7,34 @@ first failure ends after the first x whose slab fails. Evaluation is
 vectorized one x-slab at a time so memory stays O(n^2) while the scan order
 remains row-major in (x, y, z).
 
+No float in a verdict is -0.0: ``_verdict`` reports min_slack and each
+witness's lhs, rhs and deficit as v + 0.0, which maps -0.0 to 0.0 and keeps
+every other float bit for bit. No status, count or witness position depends
+on the sign of a zero, so the code below ignores it.
+
 The triangle and pre-quadrangle checks of all four types share one pass
 over x (``_scan``). Per x it builds a slab in an (n, n) buffer reused
 across x, indexed [y, z] (``_Slabs``): the outer sum a[y] + b[z] minus
-d(y, z), where a and b are each the row d(x, .) or the column d(., x). Each
-slab is read in (y, z) order, which also fixes which zero its minimum is
-when it holds both 0.0 and -0.0. What does not change with x is made once
-per run of x: a C-ordered copy of the columns, which points are symmetric
-and the diagonal. The loop over x then runs only the kernels and Python
-float compares, and builds masks and witnesses only at an x where a pair
-fails.
+d(y, z), where a and b are each the row d(x, .) or the column d(., x). What
+does not change with x is made once per run of x: a C-ordered copy of the
+columns, which points are symmetric and the diagonal. The loop over x then
+runs only the kernels and Python float compares, and builds masks and
+witnesses only at an x where a pair fails.
 
 The outer sum is one BLAS product (``_OuterSum``), [a 1] @ [1; b], of an
 (n, 2) and a (2, n) matrix that are allocated once per run of x. Entry
 (y, z) is a[y]*1 + 1*b[z]: both products are exact, so one rounding is
-left, and IEEE rounding makes it fl(a[y] + b[z]) bit for bit, whatever
-order the kernel sums in and whether it fuses the multiply and add. The one
-exception is the sign of a zero: a kernel that starts its sum at +0.0 turns
--0.0 + -0.0 into +0.0. The -0.0 entries of E are found once per run, so
-only the slabs whose a and b both hold one set those entries back to -0.0.
+left, and IEEE rounding makes it fl(a[y] + b[z]), whatever order the kernel
+sums in and whether it fuses the multiply and add. Only the sign of a zero
+may differ: a kernel that starts its sum at +0.0 turns -0.0 + -0.0 into
++0.0.
 
 Two rules build each distinct slab once:
 
 - The types differ only in whether a[y] and b[z] read the row or the
-  column (``_READS_COLUMN``). Where row x equals column x bit for bit, as
-  at every point of a symmetric matrix, the four types read the same
-  arrays, so one slab serves every requested (type, form) pair. Bits are
-  compared, not values, so 0.0 and -0.0 differ; one vectorized compare
+  column (``_READS_COLUMN``). Where row x equals column x, as at every
+  point of a symmetric matrix, the four types read the same values, so one
+  slab serves every requested (type, form) pair; one vectorized compare
   finds every such point.
 - A pre-quadrangle slack is its triangle slack minus d(x, x), and the slab
   is never changed after its minimum. Rounding is monotone, so the minimum
@@ -47,26 +48,23 @@ once per distinct bound for all the failing pairs of the slab. Witnesses
 come from its leading rows, recomputed as scalar sums in the same order.
 
 Scans of matrices on a coarse grid run in float32, with the same verdict
-bits. A matrix qualifies (``_exact_float32``) when it holds no -0.0, every
-entry is an integer multiple k * u of one power of two
-u = 2**ceil(log2(3 max|E|) - 24), u is at least 2**-126 and max|E| is at
-most 2**100. Every a[y] + b[z] - d(y, z) is then an integer of at most
-3 max|k| <= 2**24 units, a normal number in float32 and float64 alike, so
-both dtypes hold every partial and final sum exactly, whatever order a BLAS
-kernel sums in and whether it fuses. With no -0.0 in E no sum or difference
-is -0.0 (x + y = -0.0 needs both to be -0.0, x - y = -0.0 needs x = -0.0),
-so no slab holds both zeros and its minimum does not depend on reading
-order. Such a matrix is scanned from a float32 copy, at half the bytes per
-pass; any other, in float64. Only the slabs change dtype: witnesses are
-float64 scalar sums as before, the pre-quadrangle threshold is applied to
-the float64 minimum, and a mask compares a float32 slab with the least
-float32 at or above its bound (``_least_float32_at_or_above``), which
-fails at the same entries. min_slack, count_violations and the witnesses
-are thus bit for bit those of the float64 scan. A scan that may stop at
-its first failing x builds the slab of x = 0 in float64 and certifies E
-only when it goes on (``_layouts``), so a rejection at x = 0 costs no n**2
-certificate. The generators' min-plus closure and ``min_farris_constant``
-take the same certificate.
+bits. A matrix qualifies (``_exact_float32``) when every entry is an
+integer multiple k * u of one power of two u = 2**ceil(log2(3 max|E|) - 24),
+u is at least 2**-126 and max|E| is at most 2**100. Every
+a[y] + b[z] - d(y, z) is then an integer of at most 3 max|k| <= 2**24
+units, a normal number in float32 and float64 alike, so both dtypes hold
+every partial and final sum exactly, whatever order a BLAS kernel sums in
+and whether it fuses. Such a matrix is scanned from a float32 copy, at half
+the bytes per pass; any other, in float64. Only the slabs change dtype:
+witnesses are float64 scalar sums as before, the pre-quadrangle threshold
+is applied to the float64 minimum, and a mask compares a float32 slab with
+the least float32 at or above its bound (``_least_float32_at_or_above``),
+which fails at the same entries. min_slack, count_violations and the
+witnesses are thus bit for bit those of the float64 scan. A scan that may
+stop at its first failing x builds the slab of x = 0 in float64 and
+certifies E only when it goes on (``_layouts``), so a rejection at x = 0
+costs no n**2 certificate. The generators' min-plus closure and
+``min_farris_constant`` take the same certificate.
 """
 
 from __future__ import annotations
@@ -142,8 +140,12 @@ class PropertyVerdict:
 
 
 def _verdict(witnesses, min_slack: float | None, checked: int, violations: int) -> PropertyVerdict:
+    """The verdict, with every float reported as v + 0.0, so none is -0.0."""
     status = Status.PASS if violations == 0 else Status.FAIL
-    return PropertyVerdict(status, tuple(witnesses), min_slack, checked, violations)
+    witnesses = tuple(ViolationWitness(w.x, w.y, w.z, w.lhs + 0.0, w.rhs + 0.0, w.deficit + 0.0)
+                      for w in witnesses)
+    min_slack = None if min_slack is None else min_slack + 0.0
+    return PropertyVerdict(status, witnesses, min_slack, checked, violations)
 
 
 def _validate_cap(max_witnesses: int) -> None:
@@ -158,26 +160,13 @@ _O, _I, _T, _C = InequalityType
 _READS_COLUMN = {_O: (False, False), _I: (True, True), _T: (True, False), _C: (False, True)}
 
 
-_NO_ZEROS = np.empty(0, dtype=np.intp)
-
-
-def _is_negative_zero(v: np.ndarray) -> np.ndarray:
-    """Where ``v`` holds -0.0: its bits, read as a signed integer, are the least one."""
-    bits = v.view(f"i{v.itemsize}")
-    return bits == np.iinfo(bits.dtype).min
-
-
-def _negative_zeros(v: np.ndarray) -> np.ndarray:
-    """The flat indices at which ``v`` holds -0.0."""
-    return np.flatnonzero(_is_negative_zero(v))
-
-
 def _exact_float32(E: np.ndarray) -> np.ndarray | None:
     """A C-ordered float32 copy of E on which every slab is exact, or None.
 
-    E qualifies when it holds no -0.0 and every entry is an integer multiple
-    of u = 2**ceil(log2(3 max|E|) - 24), with u >= 2**-126 and max|E| <= 2**100
-    (see the module docstring). An all-zero E qualifies.
+    E qualifies when every entry is an integer multiple of
+    u = 2**ceil(log2(3 max|E|) - 24), with u >= 2**-126 and max|E| <= 2**100
+    (see the module docstring). An all-zero E qualifies. The copy holds 0.0
+    wherever E holds a zero of either sign.
     """
     # Every qualifying entry is a float32, so a row 0 that is not refuses E
     # in O(n), before the passes over all n**2 entries below.
@@ -194,14 +183,14 @@ def _exact_float32(E: np.ndarray) -> np.ndarray | None:
     if j < -126:
         return None
     # Adding 1.5 * 2**52 * u rounds each entry to a multiple of u, and
-    # subtracting it again is exact. An entry comes back bit for bit exactly
-    # when it is such a multiple and not -0.0, which comes back as 0.0.
+    # subtracting it again is exact. An entry comes back equal exactly when
+    # it is such a multiple; a zero comes back as 0.0.
     shift = math.ldexp(1.5, 52 + j)
     snapped = np.add(E, shift)
     snapped -= shift
-    if not np.array_equal(snapped.view(np.int64), E.view(np.int64)):
+    if not np.array_equal(snapped, E):
         return None
-    return E.astype(np.float32, order="C")
+    return snapped.astype(np.float32, order="C")
 
 
 def _least_float32_at_or_above(bound: float) -> np.float32:
@@ -220,9 +209,8 @@ def _least_float32_at_or_above(bound: float) -> np.float32:
 class _OuterSum:
     """Writes a[y] + b[z] into an (n, n) buffer as the rank-2 product [a 1] @ [1; b].
 
-    Each entry equals fl(a[y] + b[z]) bit for bit (see the module docstring),
-    except that -0.0 + -0.0 may come out +0.0. Those entries are set back
-    from ``a_zeros`` and ``b_zeros``, the indices of every -0.0 of a and b.
+    Each entry equals fl(a[y] + b[z]) (see the module docstring); only the
+    sign of a zero may differ.
     """
 
     __slots__ = ("_lhs", "_rhs", "_a", "_b")
@@ -233,13 +221,10 @@ class _OuterSum:
         self._a = self._lhs[:, 0]  # the view of the operands that holds a
         self._b = self._rhs[1]
 
-    def __call__(self, a, b, out, a_zeros=_NO_ZEROS, b_zeros=_NO_ZEROS) -> np.ndarray:
+    def __call__(self, a, b, out) -> np.ndarray:
         self._a[...] = a
         self._b[...] = b
-        np.matmul(self._lhs, self._rhs, out=out)
-        if len(a_zeros) and len(b_zeros):
-            out[np.ix_(a_zeros, b_zeros)] = -0.0
-        return out
+        return np.matmul(self._lhs, self._rhs, out=out)
 
 
 class _Slabs:
@@ -247,45 +232,33 @@ class _Slabs:
 
     The slabs take the dtype of A. Row x of A is ``A[x]`` and column x is
     ``cols[x]``, a C-ordered copy of columns 0..hi-1 made once, or None when
-    no slab reads a column. ``zeros`` holds, for each x < hi, the indices of
-    the -0.0 entries of row x and those of column x; a float32 A is certified
-    (``_exact_float32``), so it holds none. ``slab`` builds one slab, and
-    ``_scan`` makes the same two calls with the lines that ``steps`` looks
-    up once.
+    no slab reads a column. ``slab`` builds one slab, and ``_scan`` makes the
+    same two calls with the lines that ``steps`` looks up once.
     """
 
-    __slots__ = ("A", "cols", "outer", "zeros")
+    __slots__ = ("A", "cols", "outer")
 
     def __init__(self, A: np.ndarray, hi: int | None = None, columns: bool = True):
         hi = len(A) if hi is None else hi
         self.A = A
         self.cols = np.ascontiguousarray(A[:, :hi].T) if columns else None
         self.outer = _OuterSum(len(A), A.dtype)
-        self.zeros = ([_NO_ZEROS] * hi,) * 2
-        neg = _is_negative_zero(A) if A.dtype == np.float64 else None
-        if neg is not None and neg.any():
-            self.zeros = tuple(
-                [line.nonzero()[0] if held else _NO_ZEROS
-                 for line, held in zip(lines, lines.any(axis=1).tolist())]
-                for lines in (neg[:hi], neg[:, :hi].T)
-            )
 
     def steps(self, reads):
         """For each ((a reads a column, b reads a column), payload) of ``reads``:
-        the lines of a, those of b, the -0.0 indices of each, and the payload."""
-        lines, zeros = (self.A, self.cols), self.zeros
-        return [(lines[a], lines[b], zeros[a], zeros[b], payload) for (a, b), payload in reads]
+        the lines of a, those of b, and the payload."""
+        lines = (self.A, self.cols)
+        return [(lines[a], lines[b], payload) for (a, b), payload in reads]
 
     def symmetric(self) -> list[bool]:
-        """For each x < hi, whether row x equals column x bit for bit (0.0 and -0.0 differ)."""
-        bits = f"i{self.A.itemsize}"
-        return (self.A[: len(self.cols)].view(bits) == self.cols.view(bits)).all(axis=1).tolist()
+        """For each x < hi, whether row x equals column x."""
+        return (self.A[: len(self.cols)] == self.cols).all(axis=1).tolist()
 
     def slab(self, x: int, ty: InequalityType, out: np.ndarray) -> np.ndarray:
         """Write the type-ty triangle slack lhs(x,y,z) - d(y,z) at x into ``out``."""
         a, b = _READS_COLUMN[ty]
         lines = (self.A, self.cols)
-        self.outer(lines[a][x], lines[b][x], out, self.zeros[a][x], self.zeros[b][x])
+        self.outer(lines[a][x], lines[b][x], out)
         return np.subtract(out, self.A, out=out)
 
 
@@ -350,8 +323,8 @@ def _scan(
     n = M.n
     labels = M.labels
     # Each distinct type builds one slab per x for its (k, with_self_term)
-    # pairs. Where row x equals column x bit for bit, every type reads the
-    # same operands, so the first type's slab serves every pair.
+    # pairs. Where row x equals column x, every type reads the same values,
+    # so the first type's slab serves every pair.
     by_type: dict[InequalityType, list[tuple[int, bool]]] = {}
     for k, (ty, self_term) in enumerate(kinds):
         by_type.setdefault(ty, []).append((k, self_term))
@@ -379,8 +352,8 @@ def _scan(
         for x in xs:
             d = diag[x]
             cut = None  # tol.ineq_threshold(d), found at the first failing pre-quadrangle pair
-            for a_lines, b_lines, a_zeros, b_zeros, pairs in plan[x]:
-                outer(a_lines[x], b_lines[x], S, a_zeros[x], b_zeros[x])
+            for a_lines, b_lines, pairs in plan[x]:
+                outer(a_lines[x], b_lines[x], S)
                 low = float(subtract(S, A, out=S).min())
                 failing = []
                 for k, self_term in pairs:
@@ -497,26 +470,19 @@ def check_strict(
 
 
 class _OuterProduct:
-    """Writes a[y] * b[z] into an (n, n) buffer, bit for bit the broadcast product.
+    """Writes a[y] * b[z] into an (n, n) buffer as the rank-2 product [a 0] @ [b; 0].
 
-    Operands with no sign bit set take the rank-2 product [a 0] @ [b; 0]:
-    each entry is fl(a[y] * b[z]) plus exact zeros, and no product is -0.0,
-    so the sum is that product. A zero product of operands with opposite
-    signs is -0.0, which a kernel that adds it to +0.0 turns into +0.0, so
-    ``signed`` operands take the column-broadcast multiply.
+    Each entry is fl(a[y] * b[z]) plus exact zeros, so it equals the
+    broadcast product; only the sign of a zero may differ.
     """
 
-    __slots__ = ("_lhs", "_rhs", "_signed")
+    __slots__ = ("_lhs", "_rhs")
 
-    def __init__(self, n: int, signed: bool):
+    def __init__(self, n: int):
         self._lhs = np.zeros((n, 2))  # column 0 holds a
         self._rhs = np.zeros((2, n))  # row 0 holds b
-        self._signed = signed
 
     def __call__(self, a, b, out) -> np.ndarray:
-        if self._signed:
-            np.copyto(out, b)
-            return np.multiply(out, a[:, None], out=out)
         self._lhs[:, 0] = a
         self._rhs[0] = b
         return np.matmul(self._lhs, self._rhs, out=out)
@@ -575,7 +541,7 @@ def check_transition(
     witnesses: list[ViolationWitness] = []
     lhs, rhs = np.empty((2, n, n))
     mask = np.empty((n, n), dtype=bool)
-    outer = _OuterProduct(n, bool(np.signbit(E).any()))
+    outer = _OuterProduct(n)
     for x in range(n):
         d = float(E[x, x])
         outer(E[:, x], E[x], lhs)  # s(y,x) * s(x,z)

@@ -18,12 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import (
-    _NO_ZEROS,
     _READS_COLUMN,
     _OuterSum,
     _Slabs,
     _exact_float32,
-    _negative_zeros,
     check_prequadrangle,
     first_violation,
 )
@@ -144,19 +142,19 @@ def _closure(E: np.ndarray) -> np.ndarray:
     with the same bits. Every entry of the closure then lies in [0, max E]
     and is a multiple of the certificate's unit u, so every sum a + b is an
     integer of at most 2 max E < 2**24 units, exact in either dtype, and a
-    minimum is one of its operands. Any other E is closed in float64.
+    minimum is one of its operands. Any other E is closed in float64, as
+    E + 0.0.
+
+    Neither copy holds -0.0, and a sum is -0.0 only when both its terms are,
+    so no closure holds -0.0. It is the broadcast closure of E, bit for bit
+    once -0.0 is read as 0.0.
     """
     F = _exact_float32(E) if float(E.min()) >= 0 else None
-    out = E.copy() if F is None else F
+    out = E + 0.0 if F is None else F
     n = len(out)
     outer, via = _OuterSum(n, out.dtype), np.empty((n, n), out.dtype)
-    # A sum is -0.0 only when both its terms are, and a minimum is one of its
-    # operands, so no column or row of out holds a -0.0 unless E does.
-    signed = F is None and len(_negative_zeros(E)) > 0
     for k in range(n):
-        col, row = out[:, k], out[k]
-        zeros = (_negative_zeros(col), _negative_zeros(row)) if signed else (_NO_ZEROS, _NO_ZEROS)
-        np.minimum(out, outer(col, row, via, *zeros), out=out)
+        np.minimum(out, outer(out[:, k], out[k], via), out=out)
     return out if F is None else out.astype(np.float64)
 
 

@@ -145,8 +145,8 @@ def auto_labels(n: int) -> tuple[str, ...]:
 class LabeledMatrix:
     """A finite set of labeled points with a real value on every ordered pair.
 
-    Entries are held as a read-only float64 array. Construction rejects
-    non-square data, non-finite values, and empty or duplicate labels.
+    Entries are held as a read-only, C-ordered float64 array. Construction
+    rejects non-square data, non-finite values, and empty or duplicate labels.
     """
 
     __slots__ = ("labels", "entries", "_index")
@@ -162,7 +162,7 @@ class LabeledMatrix:
             dup = next(l for i, l in enumerate(labels) if l in labels[:i])
             raise InvalidMatrixError(f"duplicate label {dup!r}")
         try:
-            arr = np.array(entries, dtype=np.float64, copy=True)
+            arr = np.array(entries, dtype=np.float64, copy=True, order="C")
         except (TypeError, ValueError) as exc:
             raise InvalidMatrixError(f"entries must form a square matrix: {exc}") from None
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -211,7 +211,8 @@ class LabeledMatrix:
         return self.labels == other.labels and np.array_equal(self.entries, other.entries)
 
     def __hash__(self):
-        return hash((self.labels, self.entries.tobytes()))
+        # == compares values, so -0.0 must hash as 0.0 does.
+        return hash((self.labels, (self.entries + 0.0).tobytes()))
 
     def __repr__(self) -> str:
         return f"LabeledMatrix(n={self.n}, labels={list(self.labels)!r})"

@@ -337,7 +337,8 @@ def min_farris_constant(
     """
     G = gromov_product(d, x0, tol).entries
     # On a certified G each slack is exact in float32 (see checks), so the
-    # float32 maxima are the float64 ones bit for bit.
+    # float32 maxima equal the float64 ones. max keeps the leading 0.0 among
+    # equal zeros, so C is the same bits on either path.
     F = _exact_float32(G)
     slabs = _Slabs(G if F is None else F, columns=False)
     slab = np.empty_like(slabs.A)

@@ -169,7 +169,7 @@ def broadcast_closure(E):
 
     Unlike minplus_closure, which keeps an entry unless a path is strictly
     shorter, it takes np.minimum of each entry and its broadcast sum, so the
-    package's closure must equal it bit for bit, signs of zero included.
+    package's closure must equal it bit for bit once -0.0 is read as 0.0.
     """
     out = np.array(E, dtype=float)
     for k in range(len(out)):

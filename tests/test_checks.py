@@ -1,4 +1,3 @@
-import itertools
 import math
 
 import numpy as np
@@ -143,6 +142,12 @@ def test_strict_examples():
     assert v.count_checked == 2
     assert v.count_violations == 2
     assert all(w.z == w.y and w.y != w.x for w in v.witnesses)
+
+
+def test_zero_sign_of_a_strict_deficit_is_dropped():
+    # Each slack is 0.0 - 0.0 = 0.0, whose negation is -0.0.
+    v = check_strict(lm(np.zeros((2, 2))), "t")
+    assert [repr(w.deficit) for w in v.witnesses] == ["0.0", "0.0"]
 
 
 def test_strict_single_point_is_vacuous():
@@ -336,8 +341,8 @@ def boundary_cases(draw):
     a diagonal of 0.0 and -0.0, on which the triangle and pre-quadrangle
     checks of a type compare the same slacks. Half are symmetric, so the
     scan builds one slab for every type at each point; in some of those one
-    mirrored entry is one bit away, 0.0 against -0.0 or an ulp apart, so
-    its two points are not shared.
+    mirrored entry is one bit away: -0.0 against 0.0, which still shares
+    the slab, or an ulp apart, which does not.
     """
     eps = draw(st.sampled_from([0.0, 1e-9, 0.5]))
     pool = [s * v for v in ulps_around(eps) for s in (1.0, -1.0)]
@@ -400,42 +405,52 @@ def outer_sum_operands(draw, edges=EDGE_VALUES):
 @given(outer_sum_operands())
 @example([np.array([-0.0, 0.0, -0.0, 1.0]), np.array([-0.0, -0.0, 0.0, -1.0])])
 def test_outer_sum_is_the_broadcast_sum_bit_for_bit(operands):
+    # Bit for bit once -0.0 is read as 0.0: a kernel may start its sum at +0.0.
     a, b = operands
     n = len(a)
     outer, out = checks._OuterSum(n), np.empty((n, n))
     with np.errstate(over="ignore"):
         # One helper serves many slabs, so a second call must not see the first.
         for a, b in ((a, b), (b, a)):
-            outer(a, b, out, checks._negative_zeros(a), checks._negative_zeros(b))
-            assert np.array_equal(out.view(np.int64), (a[:, None] + b[None, :]).view(np.int64))
+            outer(a, b, out)
+            want = a[:, None] + b[None, :] + 0.0
+            assert np.array_equal((out + 0.0).view(np.int64), want.view(np.int64))
 
 
-def test_zero_minimum_is_read_in_row_major_order():
-    # With -0.0 entries a slab can hold both zeros, and which one min returns
-    # depends on reading order; the scan reads every slab in (y, z) order.
-    # min_slack does not depend on the witness cap, so cap 1 keeps this fast.
-    both_zeros = 0
-    for n in (1, 2, 3):
-        x, y, z = np.ogrid[:n, :n, :n]
-        for cells in itertools.product((0.0, -0.0, 1.0), repeat=n * n):
-            E = np.array(cells).reshape(n, n)
-            m = lm(E)
-            report = classify(m, max_witnesses=1)
-            # slab[x] is the row-major (y, z) slack of one x: lhs(x,y,z) - d(y,z)
-            lhs = {"o": E[x, y] + E[x, z], "i": E[y, x] + E[z, x],
-                   "t": E[y, x] + E[x, z], "c": E[z, x] + E[x, y]}
-            for ty in InequalityType:
-                triangle = lhs[ty.value] - E[y, z]
-                for slab, check, got in (
-                    (triangle, check_triangle, report.triangle[ty]),
-                    (triangle - E[x, x], check_prequadrangle, report.prequadrangle[ty]),
-                ):
-                    zeros = slab[slab == 0]
-                    both_zeros += bool(np.signbit(zeros).any() and not np.signbit(zeros).all())
-                    want = repr(min(float(slab[k].min()) for k in range(n)))  # first least x
-                    assert repr(got.min_slack) == want
-                    assert repr(check(m, ty, max_witnesses=1).min_slack) == want
-    assert both_zeros
+def holds_negative_zero(verdict):
+    floats = [f for w in verdict.witnesses for f in (w.lhs, w.rhs, w.deficit)]
+    return any(math.copysign(1.0, f) < 0 and f == 0 for f in [verdict.min_slack, *floats]
+               if f is not None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=n * n, max_size=n * n)),
+    st.integers(1, 3))
+@example([1.0, 2.0, -0.0, -0.0, 1.0, 0.0, 2.0, 3.0, 1.0], 1)
+def test_zero_sign_never_reaches_a_verdict(cells, cap):
+    # Every sum of these entries is exact, so the oracle's values are the scan's.
+    n = math.isqrt(len(cells))
+    rows = np.array(cells).reshape(n, n).tolist()
+    m = lm(rows)
+    report = classify(m, max_witnesses=cap)
+    early = checks._scan(m, ToleranceConfig(), ALL_KINDS, cap, stop_at_first_failure=True)
+    for ty in InequalityType:
+        for prequad, check, got in ((False, check_triangle, report.triangle[ty]),
+                                    (True, check_prequadrangle, report.prequadrangle[ty])):
+            bad, least = additive_scan(rows, ty.value, prequad)
+            assert repr(check(m, ty, max_witnesses=cap)) == repr(got)
+            assert got.min_slack == least and not holds_negative_zero(got)
+            assert got.count_violations == len(bad)
+            assert [tuple(map(m.index, (w.x, w.y, w.z))) for w in got.witnesses] == bad[:cap]
+    strict = report.strictness
+    assert [(m.index(w.x), m.index(w.y)) for w in strict.witnesses] == strict_scan(rows, "t")[:cap]
+    transition = check_transition(m, max_witnesses=cap)
+    bad = transition_scan(rows)
+    assert transition.count_violations == len(bad)
+    assert [tuple(map(m.index, (w.x, w.y, w.z))) for w in transition.witnesses] == bad[:cap]
+    for v in (strict, transition, *early):
+        assert not holds_negative_zero(v)
 
 
 @st.composite
@@ -506,15 +521,16 @@ PRODUCT_EDGE_VALUES = [s * v for v in (0.0, 5e-324, 1e-200, 1e-160, 1.0, 1e154, 
 @given(outer_sum_operands(PRODUCT_EDGE_VALUES))
 @example([np.array([1e-200, -1e-200, -0.0, 0.0, 2.0]), np.array([-1e-160, 1e-160, 3.0, -3.0, -0.0])])
 def test_transition_product_is_the_broadcast_product_bit_for_bit(operands):
+    # Bit for bit once -0.0 is read as 0.0, as a zero product of opposite
+    # signs is -0.0 and a kernel that adds it to +0.0 gives +0.0.
     a, b = operands
     n = len(a)
     out = np.empty((n, n))
-    # check_transition passes signed=False only for a matrix with no sign bit set.
     with np.errstate(over="ignore"):
-        for a, b in ((a, b), (b, a), (np.abs(a), np.abs(b))):
-            signed = bool(np.signbit(a).any() or np.signbit(b).any())
-            checks._OuterProduct(n, signed)(a, b, out)
-            assert np.array_equal(out.view(np.int64), (a[:, None] * b[None, :]).view(np.int64))
+        for a, b in ((a, b), (b, a)):
+            checks._OuterProduct(n)(a, b, out)
+            want = a[:, None] * b[None, :] + 0.0
+            assert np.array_equal((out + 0.0).view(np.int64), want.view(np.int64))
 
 
 ALL_KINDS = [(ty, self_term) for ty in InequalityType for self_term in (False, True)]
@@ -588,14 +604,19 @@ def test_float32_slab_certificate_needs_a_normal_unit_and_a_small_range():
     assert checks._exact_float32(np.array([[0.0, 2.0**20], [2.0**-2, 0.0]])) is not None
 
 
-def test_float32_slabs_refuse_negative_zero():
-    E = np.array([[0.0, 1.0], [-0.0, 2.0]])
-    assert checks._exact_float32(E) is None
-    assert checks._exact_float32(np.abs(E)) is not None
-    assert checks._exact_float32(np.full((2, 2), -0.0)) is None
+def test_float32_slabs_take_negative_zero():
+    # -0.0 lies on every grid, and the float32 copy holds 0.0 in its place.
+    for E in (np.array([[0.0, 1.0], [-0.0, 2.0]]), np.full((2, 2), -0.0)):
+        F = checks._exact_float32(E)
+        assert F is not None and not np.signbit(F).any()
+    # The float64 type-t slab at (x1, x2, x3) is (-0.0 + -0.0) - 0.0 = -0.0.
+    E = np.array([[1.0, 2.0, -0.0], [-0.0, 1.0, 0.0], [2.0, 3.0, 1.0]])
     with slab_paths() as taken:
-        classify(lm(E))
-    assert taken == [False]
+        got = checks._scan(lm(E), ToleranceConfig(), ALL_KINDS, 3)
+    with slab_paths(force_float64=True):
+        want = checks._scan(lm(E), ToleranceConfig(), ALL_KINDS, 3)
+    assert taken == [True]
+    assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
 @pytest.mark.parametrize("prequad", [False, True])

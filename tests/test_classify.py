@@ -9,6 +9,7 @@ from protometrics import (
     LabeledMatrix,
     Status,
     auto_labels,
+    check_triangle,
     classify,
 )
 
@@ -174,13 +175,14 @@ def test_flags_invariant_under_relabeling(rows, salt):
     assert classify(m).flags == classify(m.reordered(tuple(order))).flags
 
 
-def test_a_minimum_slack_of_negative_zero_keeps_its_sign():
+def test_zero_sign_of_a_minimum_slack_is_dropped():
     # The only zero type-t triangle slack is at (x, y, z) = (x1, x2, x3):
     # d(y,x) + d(x,z) - d(y,z) = (-0.0 + -0.0) - 0.0 = -0.0. Every other slack
-    # is positive.
+    # is positive. A verdict reports that zero as 0.0.
     rows = [[1.0, 2.0, -0.0], [-0.0, 1.0, 0.0], [2.0, 3.0, 1.0]]
     _, want = additive_scan(rows, "t", prequad=False)
     assert repr(want) == "-0.0"
-    got = classify(lm(rows)).triangle[InequalityType.TRANSITIVE]
-    assert got.status is Status.PASS
-    assert repr(got.min_slack) == "-0.0"
+    for got in (classify(lm(rows)).triangle[InequalityType.TRANSITIVE],
+                check_triangle(lm(rows), "t")):
+        assert got.status is Status.PASS
+        assert repr(got.min_slack) == "0.0"

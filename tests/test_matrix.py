@@ -114,6 +114,15 @@ def test_matrix_eq_and_hash():
     assert a != "not a matrix"
 
 
+def test_matrices_equal_up_to_the_sign_of_zero_hash_alike():
+    a = LabeledMatrix(("a", "b"), [[0.0, 1.0], [1.0, 0.0]])
+    b = LabeledMatrix(("a", "b"), [[-0.0, 1.0], [1.0, -0.0]])
+    assert a == b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert np.signbit(b.entries[0, 0])  # the matrix itself keeps -0.0
+
+
 def test_tolerance_defaults():
     tol = ToleranceConfig()
     assert tol.eps_ineq == 1e-9

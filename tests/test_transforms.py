@@ -19,12 +19,14 @@ from protometrics import (
     affine_gauge,
     auto_labels,
     check_prequadrangle,
+    check_transition,
     check_triangle,
     classify,
     compose,
     decompose,
     farris_transform,
     gen_metric,
+    gen_quasi_semi_metric,
     gromov_product,
     log_transform,
     metrize,
@@ -57,6 +59,16 @@ def test_transpose():
     assert transpose(t) == m
     sym = lm(PATH)
     assert transpose(sym) == sym
+
+
+def test_transpose_holds_c_ordered_entries_with_the_same_verdicts():
+    m = gen_quasi_semi_metric(GenSpec(12, 4))
+    t = transpose(m)
+    assert t.entries.flags.c_contiguous
+    copy = lm(m.entries.T.tolist())
+    assert t == copy
+    assert repr(classify(t)) == repr(classify(copy))
+    assert repr(check_transition(t)) == repr(check_transition(copy))
 
 
 def test_transpose_negates_potential():
