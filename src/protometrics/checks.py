@@ -14,15 +14,15 @@ on the sign of a zero, so the code below ignores it.
 
 The triangle and pre-quadrangle checks of all four types share one pass
 over x (``_scan``). Per x it builds a slab in an (n, n) buffer reused
-across x, indexed [y, z] (``_Slabs``): the outer sum a[y] + b[z] minus
-d(y, z), where a and b are each the row d(x, .) or the column d(., x). What
-does not change with x is made once per run of x: a C-ordered copy of the
-columns, which points are symmetric and the diagonal. The loop over x then
-runs only the kernels and Python float compares, and builds masks and
-witnesses only at an x where a pair fails.
+across x, indexed [y, z]: the outer sum a[y] + b[z] minus d(y, z), where a
+and b are each the row d(x, .) or the column d(., x). What does not change
+with x is made once per scan: a C-ordered copy of the columns, which points
+are symmetric and the diagonal. The loop over x then runs only the kernels
+and Python float compares, and builds masks and witnesses only at an x where
+a pair fails.
 
 The outer sum is one BLAS product (``_OuterSum``), [a 1] @ [1; b], of an
-(n, 2) and a (2, n) matrix that are allocated once per run of x. Entry
+(n, 2) and a (2, n) matrix that are allocated once per scan. Entry
 (y, z) is a[y]*1 + 1*b[z]: both products are exact, so one rounding is
 left, and IEEE rounding makes it fl(a[y] + b[z]), whatever order the kernel
 sums in and whether it fuses the multiply and add. Only the sign of a zero
@@ -60,11 +60,11 @@ witnesses are float64 scalar sums as before, the pre-quadrangle threshold
 is applied to the float64 minimum, and a mask compares a float32 slab with
 the least float32 at or above its bound (``_least_float32_at_or_above``),
 which fails at the same entries. min_slack, count_violations and the
-witnesses are thus bit for bit those of the float64 scan. A scan that may
-stop at its first failing x builds the slab of x = 0 in float64 and
-certifies E only when it goes on (``_layouts``), so a rejection at x = 0
-costs no n**2 certificate. The generators' min-plus closure and
-``min_farris_constant`` take the same certificate.
+witnesses are thus bit for bit those of the float64 scan. Every scan
+certifies E once, before its first slab, so even a scan that stops at
+x = 0 pays the n**2 certificate. The generators' min-plus closure,
+``min_farris_constant`` and ``perturb_violation`` build their slabs with the
+same ``_OuterSum``, and the first two take the same certificate.
 """
 
 from __future__ import annotations
@@ -227,60 +227,6 @@ class _OuterSum:
         return np.matmul(self._lhs, self._rhs, out=out)
 
 
-class _Slabs:
-    """The triangle slack slabs of one matrix A at each x < hi, written into a given (n, n) buffer.
-
-    The slabs take the dtype of A. Row x of A is ``A[x]`` and column x is
-    ``cols[x]``, a C-ordered copy of columns 0..hi-1 made once, or None when
-    no slab reads a column. ``slab`` builds one slab, and ``_scan`` makes the
-    same two calls with the lines that ``steps`` looks up once.
-    """
-
-    __slots__ = ("A", "cols", "outer")
-
-    def __init__(self, A: np.ndarray, hi: int | None = None, columns: bool = True):
-        hi = len(A) if hi is None else hi
-        self.A = A
-        self.cols = np.ascontiguousarray(A[:, :hi].T) if columns else None
-        self.outer = _OuterSum(len(A), A.dtype)
-
-    def steps(self, reads):
-        """For each ((a reads a column, b reads a column), payload) of ``reads``:
-        the lines of a, those of b, and the payload."""
-        lines = (self.A, self.cols)
-        return [(lines[a], lines[b], payload) for (a, b), payload in reads]
-
-    def symmetric(self) -> list[bool]:
-        """For each x < hi, whether row x equals column x."""
-        return (self.A[: len(self.cols)] == self.cols).all(axis=1).tolist()
-
-    def slab(self, x: int, ty: InequalityType, out: np.ndarray) -> np.ndarray:
-        """Write the type-ty triangle slack lhs(x,y,z) - d(y,z) at x into ``out``."""
-        a, b = _READS_COLUMN[ty]
-        lines = (self.A, self.cols)
-        self.outer(lines[a][x], lines[b][x], out)
-        return np.subtract(out, self.A, out=out)
-
-
-def _layouts(E: np.ndarray, columns: bool, lazy: bool):
-    """The slabs of E for each run of x of a scan, each with its run.
-
-    A scan reads float32 slabs of the certified copy of E when
-    ``_exact_float32`` gives one, and float64 slabs otherwise. A ``lazy``
-    scan, one that may end after x = 0, reads that first slab in float64 and
-    certifies E only when it goes on, so a rejection at x = 0 pays no n**2
-    certificate. Both slabs at x = 0 hold the same bits.
-    """
-    n = len(E)
-    lo = 0
-    if lazy:
-        yield _Slabs(E, 1, columns), range(1)
-        lo = 1
-    if lo < n:
-        F = _exact_float32(E)
-        yield _Slabs(E if F is None else F, n, columns), range(lo, n)
-
-
 def _leading_hits(mask: np.ndarray, room: int) -> list[tuple[int, int]]:
     """The first ``room`` indices (y, z) where ``mask`` holds, in row-major order."""
     hits: list[tuple[int, int]] = []
@@ -312,11 +258,12 @@ def _scan(
     witnesses count only those slabs. A passing pair scans every x, so its
     verdict is the full scan's.
 
-    Everything that does not change with x is set up once per run of x: the
-    operand lines of each distinct type and which points are symmetric. Per
-    x and distinct slab the loop writes two operand lines, runs the product,
-    the subtraction and the minimum, and compares Python floats; masks and
-    witnesses are built only at an x where some pair fails.
+    Everything that does not change with x is set up once per scan: the
+    float32 certificate, the operand lines of each distinct type and which
+    points are symmetric. Per x and distinct slab the loop writes two operand
+    lines, runs the product, the subtraction and the minimum, and compares
+    Python floats; masks and witnesses are built only at an x where some
+    pair fails.
     """
     _validate_cap(max_witnesses)
     E = M.entries
@@ -339,59 +286,62 @@ def _scan(
     found: list[list[ViolationWitness]] = [[] for _ in kinds]
     mask = np.empty((n, n), dtype=bool)
     subtract = np.subtract
+    # The slabs are float32 when E is certified, float64 otherwise. Row x of
+    # A is A[x] and column x is cols[x], a C-ordered copy made once when
+    # some type reads a column.
+    F = _exact_float32(E)
+    A = E if F is None else F
+    f32 = F is not None
+    cols = np.ascontiguousarray(A.T) if columns else None
+    outer = _OuterSum(n, A.dtype)
+    S = np.empty((n, n), A.dtype)
+    distinct, at_symmetric = ([((A, cols)[a], (A, cols)[b], pairs) for (a, b), pairs in r]
+                              for r in (reads, every))
+    plan = [distinct] * n
+    if shared:
+        plan = [at_symmetric if s else distinct for s in (A == cols).all(axis=1).tolist()]
     scanned = n
-    for slabs, xs in _layouts(E, columns, stop_at_first_failure):
-        A, outer = slabs.A, slabs.outer
-        S = np.empty((n, n), A.dtype)
-        f32 = A.dtype == np.float32
-        distinct = slabs.steps(reads)
-        plan = [distinct] * xs.stop
-        if shared:
-            at_symmetric = slabs.steps(every)
-            plan = [at_symmetric if s else distinct for s in slabs.symmetric()]
-        for x in xs:
-            d = diag[x]
-            cut = None  # tol.ineq_threshold(d), found at the first failing pre-quadrangle pair
-            for a_lines, b_lines, pairs in plan[x]:
-                outer(a_lines[x], b_lines[x], S)
-                low = float(subtract(S, A, out=S).min())
-                failing = []
-                for k, self_term in pairs:
-                    # Rounding is monotone, so min(fl(s - d)) = fl(min(s) - d).
-                    m = low - d if self_term else low
-                    if m < mins[k]:
-                        mins[k] = m
-                    if fails(m):
-                        failing.append(k)
-                if not failing:
-                    continue
-                # The pairs failing at x, by the bound that S falls below where
-                # they fail: -eps_ineq for S, ineq_threshold(d) for S - d(x,x).
-                # Equal bounds share a mask, as both forms do when d(x,x) is zero.
-                groups: dict[float, list[int]] = {}
-                for k in failing:
-                    if kinds[k][1] and cut is None:
-                        cut = tol.ineq_threshold(d)
-                    groups.setdefault(cut if kinds[k][1] else -tol.eps_ineq, []).append(k)
-                for bound, group in groups.items():
-                    below = _least_float32_at_or_above(bound) if f32 else bound
-                    count = int(np.count_nonzero(np.less(S, below, out=mask)))
-                    at = _leading_hits(mask, max(max_witnesses - len(found[k]) for k in group))
-                    for k in group:
-                        violations[k] += count
-                        for y, z in at[: max_witnesses - len(found[k])]:
-                            a, b = (E[:, x] if c else E[x] for c in _READS_COLUMN[kinds[k][0]])
-                            lhs = float(a[y]) + float(b[z])
-                            rhs = float(E[y, z])
-                            s = lhs - rhs
-                            if kinds[k][1]:
-                                rhs, s = rhs + d, s - d
-                            w = ViolationWitness(labels[x], labels[y], labels[z], lhs, rhs, -s)
-                            found[k].append(w)
-            if stop_at_first_failure and all(violations):
-                scanned = x + 1
-                break
-        if scanned < n:
+    for x in range(n):
+        d = diag[x]
+        cut = None  # tol.ineq_threshold(d), found at the first failing pre-quadrangle pair
+        for a_lines, b_lines, pairs in plan[x]:
+            outer(a_lines[x], b_lines[x], S)
+            low = float(subtract(S, A, out=S).min())
+            failing = []
+            for k, self_term in pairs:
+                # Rounding is monotone, so min(fl(s - d)) = fl(min(s) - d).
+                m = low - d if self_term else low
+                if m < mins[k]:
+                    mins[k] = m
+                if fails(m):
+                    failing.append(k)
+            if not failing:
+                continue
+            # The pairs failing at x, by the bound that S falls below where
+            # they fail: -eps_ineq for S, ineq_threshold(d) for S - d(x,x).
+            # Equal bounds share a mask, as both forms do when d(x,x) is zero.
+            groups: dict[float, list[int]] = {}
+            for k in failing:
+                if kinds[k][1] and cut is None:
+                    cut = tol.ineq_threshold(d)
+                groups.setdefault(cut if kinds[k][1] else -tol.eps_ineq, []).append(k)
+            for bound, group in groups.items():
+                below = _least_float32_at_or_above(bound) if f32 else bound
+                count = int(np.count_nonzero(np.less(S, below, out=mask)))
+                at = _leading_hits(mask, max(max_witnesses - len(found[k]) for k in group))
+                for k in group:
+                    violations[k] += count
+                    for y, z in at[: max_witnesses - len(found[k])]:
+                        a, b = (E[:, x] if c else E[x] for c in _READS_COLUMN[kinds[k][0]])
+                        lhs = float(a[y]) + float(b[z])
+                        rhs = float(E[y, z])
+                        s = lhs - rhs
+                        if kinds[k][1]:
+                            rhs, s = rhs + d, s - d
+                        w = ViolationWitness(labels[x], labels[y], labels[z], lhs, rhs, -s)
+                        found[k].append(w)
+        if stop_at_first_failure and all(violations):
+            scanned = x + 1
             break
     checked = scanned * n * n
     return [_verdict(found[k], mins[k], checked, violations[k]) for k in range(len(kinds))]
@@ -519,10 +469,6 @@ def check_transition(
       rhs - lhs < rhs - B <= -rhs ((1 + e) k**3 - 1) - e k. The first term
       is <= 0, as (1 + e) k**3 >= 1 + e - 3 * 2**-53 (1 + e) > 1, and the
       second rounds to at most -e (1 - 2**-52) <= -e/2.
-    - Else, while every rhs <= e * 2**50 and e >= 2**-1000, the floor is
-      also -e/2: rounding is monotone, so B >= fl(rhs + e), which lies
-      within 2**-53 (rhs + e) of rhs + e, and a failing triple has rhs - lhs
-      below -e/2.
     - Otherwise the floor is 0, as B >= rhs.
 
     Each floor is a proof about transition_fails, not a tolerance rule.
@@ -534,7 +480,6 @@ def check_transition(
     if for_log_transform and not bool((E > 0).all()):
         return PropertyVerdict(Status.NOT_APPLICABLE, (), None, 0, 0)
     low, high = float(E.min()), float(E.max())
-    top = max(-low, high)
     eps = tol.eps_ineq
     min_slack = math.inf
     violations = 0
@@ -550,8 +495,7 @@ def check_transition(
         if m < min_slack:
             min_slack = m
         if not (d > 0 > low or d < 0 < high):  # every rhs >= 0
-            small = eps >= 2.0**-40 or (eps >= 2.0**-1000 and top * abs(d) <= eps * 2.0**50)
-            if m > (-0.5 * eps if small else 0.0):
+            if m > (-0.5 * eps if eps >= 2.0**-40 else 0.0):
                 continue
         np.multiply(E, d, out=rhs)  # rhs held the slack; the witnesses need rhs itself
         hits = int(np.count_nonzero(tol.transition_fails(lhs, rhs, out=mask)))

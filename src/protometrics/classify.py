@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping
 
 import numpy as np
@@ -20,31 +20,6 @@ from .checks import (
 from .matrix import DEFAULT_TOLERANCE, InequalityType, LabeledMatrix, ToleranceConfig
 
 __all__ = ["REPORT_FLAGS", "ClassificationReport", "classify"]
-
-# Flag names in report order.
-REPORT_FLAGS = (
-    "symmetric",
-    "nonnegative",
-    "zero_diagonal",
-    "identity_of_indiscernibles",
-    "triangle_o",
-    "triangle_i",
-    "triangle_t",
-    "triangle_c",
-    "prequad_o",
-    "prequad_i",
-    "prequad_t",
-    "prequad_c",
-    "strict_protometric",
-    "zero_protometric",
-    "difference_protometric",
-    "quasi_semi_metric",
-    "semi_metric",
-    "metric",
-    "potential_difference",
-    "symmetric_protometric",
-    "weak_partial_pseudo_metric",
-)
 
 
 @dataclass(frozen=True)
@@ -86,6 +61,10 @@ class ClassificationReport:
     @property
     def flags(self) -> dict[str, bool]:
         return {name: getattr(self, name) for name in REPORT_FLAGS}
+
+
+# Flag names in report order: the bool fields of ClassificationReport.
+REPORT_FLAGS = tuple(f.name for f in fields(ClassificationReport) if f.type == "bool")
 
 
 def classify(

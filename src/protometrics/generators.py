@@ -20,7 +20,6 @@ import numpy as np
 from .checks import (
     _READS_COLUMN,
     _OuterSum,
-    _Slabs,
     _exact_float32,
     check_prequadrangle,
     first_violation,
@@ -283,10 +282,11 @@ def perturb_violation(
     n = M.n
     diagonal = np.eye(n, dtype=bool)
     a_col, b_col = _READS_COLUMN[ty]
-    slabs, slack = _Slabs(E), np.empty((n, n))
+    outer, slack = _OuterSum(n), np.empty((n, n))
     best = []  # per x: (slack, target-is-diagonal, x, y, z) of its first best triple
     for x in range(n):
-        np.subtract(slabs.slab(x, ty, slack), E[x, x], out=slack)
+        outer(E[:, x] if a_col else E[x], E[:, x] if b_col else E[x], slack)
+        np.subtract(np.subtract(slack, E, out=slack), E[x, x], out=slack)
         # Raising p(y,z) raises the right side only, unless (y,z) is also a
         # left-side slot; the inequality then holds identically. Such slots are
         # a[y] = d(y,x) at z = x, b[z] = d(x,z) at y = x, and (x, x).

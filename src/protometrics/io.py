@@ -89,11 +89,8 @@ def _looks_numeric(cell: str) -> bool:
 
 
 def _parse_csv(text: str) -> LabeledMatrix:
-    rows = [r for r in csv.reader(_io.StringIO(text))]
-    rows = [r for r in rows if r]  # drop blank lines
-    if not rows:
-        raise ParseError("empty input")
-    labeled = not _looks_numeric(rows[0][0]) if rows[0] else True
+    rows = [r for r in csv.reader(_io.StringIO(text)) if r]  # drop blank lines
+    labeled = not _looks_numeric(rows[0][0])
     if labeled:
         header = rows[0]
         labels = tuple(header[1:])

@@ -13,7 +13,7 @@ from .checks import (
     BASE_FLAGS,
     DERIVED_FLAGS,
     _exact_float32,
-    _Slabs,
+    _OuterSum,
     check_prequadrangle,
     degenerate_pairs,
     first_violation,
@@ -340,9 +340,9 @@ def min_farris_constant(
     # float32 maxima equal the float64 ones. max keeps the leading 0.0 among
     # equal zeros, so C is the same bits on either path.
     F = _exact_float32(G)
-    slabs = _Slabs(G if F is None else F, columns=False)
-    slab = np.empty_like(slabs.A)
-    tops = [float(slabs.slab(x, InequalityType.OUTGOING, slab).max()) for x in range(d.n)]
+    A = G if F is None else F
+    outer, slab = _OuterSum(d.n, A.dtype), np.empty_like(A)
+    tops = [float(np.subtract(outer(A[x], A[x], slab), A, out=slab).max()) for x in range(d.n)]
     return max([0.0, *tops, float(G.max())])
 
 

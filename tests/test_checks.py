@@ -569,9 +569,8 @@ def test_float32_slabs_give_the_float64_verdicts(case, cap, stop):
         got = checks._scan(M, tol, ALL_KINDS, cap, stop_at_first_failure=stop)
     with slab_paths(force_float64=True) as forced:
         want = checks._scan(M, tol, ALL_KINDS, cap, stop_at_first_failure=stop)
-    # A scan that may stop early certifies E only once it goes on past x = 0.
-    certified = not stop or got[0].count_checked > M.n**2
-    assert (taken, forced) == (([True], [False]) if certified else ([], []))
+    # Every scan certifies E once, an early exit at x = 0 included.
+    assert (taken, forced) == ([True], [False])
     assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
@@ -667,7 +666,7 @@ def test_float32_scan_finds_a_failure_at_the_last_x(ty):
                 want = check(M, ty, max_witnesses=3, **extra)
             assert repr(got) == repr(want)
             scanned = [t for t in bad if t[0] == bad[0][0]] if extra and bad else bad
-            assert taken == ([] if extra and bad and bad[0][0] == 0 else [True])
+            assert taken == [True]
             assert [(idx[w.x], idx[w.y], idx[w.z]) for w in got.witnesses] == scanned[:3]
             assert got.count_violations == len(scanned)
             assert got.count_checked == (bad[0][0] + 1 if extra and bad else n) * n * n

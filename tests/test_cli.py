@@ -318,6 +318,33 @@ def test_transform_decompose_and_compose_roundtrip(cli, tmp_path):
     assert "requires --f-file" in err
 
 
+@pytest.mark.parametrize(
+    "f, message",
+    [
+        ("[1, 2]", "decomposition field 'f' must be an object of label: value"),
+        ('{"a": "x"}', "gauge value for 'a' must be a finite number, got 'x'"),
+        ('{"a": true}', "gauge value for 'a' must be a finite number, got True"),
+        ('{"a": 1e400}', "gauge value for 'a' must be a finite number, got inf"),
+    ],
+)
+def test_transform_compose_rejects_a_malformed_gauge_field(cli, f, message):
+    doc = '{"d": {"matrix": [[0, 1], [1, 0]]}, "f": %s}' % f
+    code, out, err = cli(["transform", "compose"], stdin=doc)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_transform_compose_reads_an_object_without_f_as_a_matrix(cli, tmp_path):
+    f = tmp_path / "f.csv"
+    f.write_text("x1,1\nx2,2\n")
+    argv = ["transform", "compose", "--f-file", str(f)]
+    doc = '{"d": {"matrix": [[0, 1], [1, 0]]}, "matrix": [[0, 3], [3, 0]]}'
+    code, out, _ = cli(argv, stdin=doc)
+    assert code == 0
+    assert json.loads(out)["matrix"] == [[1.0, 3.0], [3.0, 2.0]]
+    code, out, err = cli(argv, stdin='{"d": {"matrix": [[0, 1], [1, 0]]}}')
+    assert (code, out, err) == (2, "", "error: JSON input is missing the 'matrix' key\n")
+
+
 def test_transform_decompose_output_is_json_only(cli):
     code, _, err = cli(["transform", "decompose", "--format", "text"], stdin=PROTO_CSV)
     assert code == 2
