@@ -48,10 +48,20 @@ from . import transforms
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """The UTF-8 text of a file, or of standard input for "-"."""
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        # Python's UTF-8 mode reads bad bytes on standard input as lone
+        # surrogates, which do not encode.
+        text.encode("utf-8")
+    except UnicodeError:
+        name = "standard input" if path == "-" else path
+        raise InputError(f"{name} is not UTF-8 text") from None
+    return text
 
 
 def _write_text(path: str, text: str) -> None:
@@ -168,6 +178,8 @@ def _compose(text: str, args: argparse.Namespace, tol: ToleranceConfig) -> Label
             raise InputError("transform compose requires --f-file when the input is a matrix")
         f = parse_gauge_csv(_read_text(args.f_file))
         dec = transforms.Decomposition(d=parse_matrix(text), f=f)
+    elif args.f_file is not None:
+        raise InputError("transform compose takes --f-file only when the input is a matrix")
     return transforms.compose(dec.d, dec.f, tol)
 
 

@@ -5,7 +5,8 @@ column, detected by a non-numeric first cell; otherwise a bare numeric grid
 labeled x1..xn. JSON: an object with an optional "labels" array and a
 required square "matrix". Numbers are written with the shortest decimal that
 parses back to the identical binary float, and non-finite values are
-rejected at parse time.
+rejected at parse time. One leading byte-order mark (U+FEFF), which
+spreadsheet exports write, is ignored.
 
 Both directions convert a whole row at a time: a row is parsed by one
 ``map(float, ...)`` and checked by the finiteness of its sum, and written
@@ -53,9 +54,13 @@ class MatrixFormat(enum.Enum):
             raise InputError(f"unknown matrix format {code!r}; expected csv or json") from None
 
 
+def _without_bom(text: str) -> str:
+    return text[1:] if text.startswith("\ufeff") else text
+
+
 def detect_format(text: str) -> MatrixFormat:
     """Sniff the format: a document starting with '{' is JSON, else CSV."""
-    stripped = text.lstrip()
+    stripped = _without_bom(text).lstrip()
     return MatrixFormat.JSON if stripped.startswith("{") else MatrixFormat.CSV
 
 
@@ -195,6 +200,7 @@ def parse_matrix(text: str, format: MatrixFormat | str | None = None) -> Labeled
     """
     if isinstance(format, str):
         format = MatrixFormat.parse(format)
+    text = _without_bom(text)
     if format is None:
         format = detect_format(text)
     if not text.strip():
@@ -287,7 +293,7 @@ def serialize_report(report: ClassificationReport, format: str = "json") -> str:
 
 def parse_gauge_csv(text: str) -> dict[str, float]:
     """Parse a two-column label,value CSV into a gauge mapping."""
-    rows = [r for r in csv.reader(_io.StringIO(text)) if r]
+    rows = [r for r in csv.reader(_io.StringIO(_without_bom(text))) if r]
     if not rows:
         raise ParseError("empty gauge input")
     out: dict[str, float] = {}
@@ -311,6 +317,7 @@ def parse_decomposition(text: str) -> Decomposition | None:
 
     Returns None when the text is not a JSON object with both "d" and "f" keys.
     """
+    text = _without_bom(text)
     if detect_format(text) is not MatrixFormat.JSON:
         return None
     doc = _load_json(text)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 import math
-import struct
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -87,26 +86,19 @@ class ToleranceConfig:
 
         Rounding is monotone, so fl(s - d) never falls as s rises: s - d fails
         exactly when s < ineq_threshold(d), and ineq_threshold(0) is -eps_ineq.
-        The search steps a few floats from fl(d - eps_ineq), where the answer
-        usually lies, then bisects over the order of the floats: when d is near
-        eps_ineq, the answer can lie 10**18 floats below that start.
+        A difference up to half an ulp of eps_ineq below -eps_ineq still rounds
+        to -eps_ineq, so the search starts at fl(d - eps_ineq) less that half
+        ulp and steps float by float, testing the rule itself, to the answer.
+        The start bounds the steps: fl(d - eps_ineq) is exact when d and
+        eps_ineq are within a factor of two (Sterbenz's lemma) and off by less
+        than an ulp of the answer otherwise. Adding 0.0 turns -0.0 into 0.0.
         """
-        lo, hi = _rank(-math.inf), _rank(math.inf)  # -inf - d fails, inf - d passes
-        k = _rank(d - self.eps_ineq)
-        for _ in range(4):
-            if self.ineq_fails(_unrank(k) - d):
-                lo, k = k, k + 1
-            else:
-                hi, k = k, k - 1
-            if hi - lo == 1:
-                return _unrank(hi)
-        while hi - lo > 1:
-            k = (lo + hi) // 2
-            if self.ineq_fails(_unrank(k) - d):
-                lo = k
-            else:
-                hi = k
-        return _unrank(hi)
+        s = (d - self.eps_ineq) - 0.5 * math.ulp(self.eps_ineq)
+        while self.ineq_fails(s - d):
+            s = math.nextafter(s, math.inf)
+        while not self.ineq_fails(math.nextafter(s, -math.inf) - d):
+            s = math.nextafter(s, -math.inf)
+        return s + 0.0
 
     def eq_fails(self, delta, out=None):
         """a = b, with delta a - b, fails unless |delta| <= eps_eq; a NaN fails."""
@@ -122,19 +114,6 @@ class ToleranceConfig:
 
 
 DEFAULT_TOLERANCE = ToleranceConfig()
-
-_SIGN = 1 << 63
-
-
-def _rank(s: float) -> int:
-    """The position of s in the order of the floats; 0.0 and -0.0 are both 0."""
-    (u,) = struct.unpack("<Q", struct.pack("<d", s))
-    return u if u < _SIGN else _SIGN - u
-
-
-def _unrank(k: int) -> float:
-    """The float at position k, so that _unrank(_rank(s)) == s."""
-    return struct.unpack("<d", struct.pack("<Q", k if k >= 0 else _SIGN - k))[0]
 
 
 def auto_labels(n: int) -> tuple[str, ...]:

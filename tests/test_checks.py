@@ -144,6 +144,7 @@ def test_strict_examples():
     assert all(w.z == w.y and w.y != w.x for w in v.witnesses)
 
 
+@pytest.mark.blas
 def test_zero_sign_of_a_strict_deficit_is_dropped():
     # Each slack is 0.0 - 0.0 = 0.0, whose negation is -0.0.
     v = check_strict(lm(np.zeros((2, 2))), "t")
@@ -401,6 +402,7 @@ def outer_sum_operands(draw, edges=EDGE_VALUES):
     return [np.array(draw(st.lists(cell, min_size=n, max_size=n))) for _ in range(2)]
 
 
+@pytest.mark.blas
 @settings(max_examples=300, deadline=None)
 @given(outer_sum_operands())
 @example([np.array([-0.0, 0.0, -0.0, 1.0]), np.array([-0.0, -0.0, 0.0, -1.0])])
@@ -423,6 +425,7 @@ def holds_negative_zero(verdict):
                if f is not None)
 
 
+@pytest.mark.blas
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 4).flatmap(
     lambda n: st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=n * n, max_size=n * n)),
@@ -517,6 +520,7 @@ PRODUCT_EDGE_VALUES = [s * v for v in (0.0, 5e-324, 1e-200, 1e-160, 1.0, 1e154, 
                        for s in (1.0, -1.0)]
 
 
+@pytest.mark.blas
 @settings(max_examples=300, deadline=None)
 @given(outer_sum_operands(PRODUCT_EDGE_VALUES))
 @example([np.array([1e-200, -1e-200, -0.0, 0.0, 2.0]), np.array([-1e-160, 1e-160, 3.0, -3.0, -0.0])])
@@ -561,6 +565,7 @@ def float32_grid_cases(draw):
     return lm(np.ldexp(E, j)), ToleranceConfig(eps_ineq=eps)
 
 
+@pytest.mark.blas
 @settings(max_examples=300, deadline=None)
 @given(float32_grid_cases(), st.integers(1, 3), st.booleans())
 def test_float32_slabs_give_the_float64_verdicts(case, cap, stop):
@@ -574,6 +579,7 @@ def test_float32_slabs_give_the_float64_verdicts(case, cap, stop):
     assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
+@pytest.mark.blas
 @pytest.mark.parametrize("j", [-126, -53, 0, 40])
 def test_float32_slab_certificate_ends_at_3k_of_2_to_the_24(j):
     for top, qualifies in ((MAX_UNITS, True), (MAX_UNITS + 1, False)):
@@ -589,6 +595,7 @@ def test_float32_slab_certificate_ends_at_3k_of_2_to_the_24(j):
         assert repr(got) == repr(want)
 
 
+@pytest.mark.blas
 def test_float32_slab_certificate_needs_a_normal_unit_and_a_small_range():
     grid = np.array([[0.0, MAX_UNITS], [1.0, -MAX_UNITS]])
     assert checks._exact_float32(np.ldexp(grid, -126)) is not None
@@ -603,6 +610,7 @@ def test_float32_slab_certificate_needs_a_normal_unit_and_a_small_range():
     assert checks._exact_float32(np.array([[0.0, 2.0**20], [2.0**-2, 0.0]])) is not None
 
 
+@pytest.mark.blas
 def test_float32_slabs_take_negative_zero():
     # -0.0 lies on every grid, and the float32 copy holds 0.0 in its place.
     for E in (np.array([[0.0, 1.0], [-0.0, 2.0]]), np.full((2, 2), -0.0)):
@@ -618,6 +626,7 @@ def test_float32_slabs_take_negative_zero():
     assert [repr(v) for v in got] == [repr(v) for v in want]
 
 
+@pytest.mark.blas
 @pytest.mark.parametrize("prequad", [False, True])
 def test_float32_slab_masks_keep_each_bound_exact(prequad):
     # On the 2**-53 grid the type-t slab at (x1, x2, x3) is s = -9007201 u, a
@@ -645,6 +654,7 @@ def test_float32_slab_masks_keep_each_bound_exact(prequad):
     assert [(idx[w.x], idx[w.y], idx[w.z]) for w in v.witnesses] == bad
 
 
+@pytest.mark.blas
 @pytest.mark.parametrize("ty", list(InequalityType))
 def test_float32_scan_finds_a_failure_at_the_last_x(ty):
     # Points on a line: x1 at 0, x2 at 2, the last point at 1 and the others
@@ -703,6 +713,7 @@ def near_tight_positive_matrices(draw):
     return E, eps
 
 
+@pytest.mark.blas
 @settings(max_examples=300, deadline=None)
 @given(near_tight_positive_matrices())
 def test_transition_mask_skip_keeps_every_failure_of_a_positive_matrix(case):

@@ -175,6 +175,7 @@ def test_flags_invariant_under_relabeling(rows, salt):
     assert classify(m).flags == classify(m.reordered(tuple(order))).flags
 
 
+@pytest.mark.blas
 def test_zero_sign_of_a_minimum_slack_is_dropped():
     # The only zero type-t triangle slack is at (x, y, z) = (x1, x2, x3):
     # d(y,x) + d(x,z) - d(y,z) = (-0.0 + -0.0) - 0.0 = -0.0. Every other slack

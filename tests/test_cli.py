@@ -345,6 +345,15 @@ def test_transform_compose_reads_an_object_without_f_as_a_matrix(cli, tmp_path):
     assert (code, out, err) == (2, "", "error: JSON input is missing the 'matrix' key\n")
 
 
+def test_transform_compose_rejects_f_file_with_a_decomposition(cli, tmp_path):
+    f = tmp_path / "f.csv"
+    f.write_text("x1,5\nx2,6\n")
+    doc = '{"d": {"matrix": [[0, 3], [3, 0]]}, "f": {"x1": 1, "x2": 2}}'
+    code, out, err = cli(["transform", "compose", "--f-file", str(f)], stdin=doc)
+    assert (code, out) == (2, "")
+    assert err == "error: transform compose takes --f-file only when the input is a matrix\n"
+
+
 def test_transform_decompose_output_is_json_only(cli):
     code, _, err = cli(["transform", "decompose", "--format", "text"], stdin=PROTO_CSV)
     assert code == 2
@@ -443,6 +452,56 @@ def test_transform_missing_gauge_file(cli, tmp_path):
     )
     assert code == 2
     assert err.startswith("error:")
+
+
+BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8, which spreadsheet exports put first
+
+
+def test_a_leading_byte_order_mark_is_ignored(cli, tmp_path):
+    src = tmp_path / "m.csv"
+    src.write_bytes(BOM + PATH_CSV.encode())
+    code, out, _ = cli(["check", "triangle:t", "-i", str(src)])
+    assert (code, out) == (0, "triangle:t: PASS min_slack=0.0 violations=0/27\n")
+    code, out, _ = cli(["check", "triangle:t"], stdin="\ufeff" + PATH_CSV)
+    assert (code, out) == (0, "triangle:t: PASS min_slack=0.0 violations=0/27\n")
+    src = tmp_path / "m.json"
+    src.write_bytes(BOM + b'{"matrix": [[0, 1], [1, 0]]}')
+    code, out, _ = cli(["check", "triangle:t", "-i", str(src)])
+    assert (code, out) == (0, "triangle:t: PASS min_slack=0.0 violations=0/8\n")
+
+
+def test_a_gauge_or_decomposition_with_a_byte_order_mark(cli, tmp_path):
+    f = tmp_path / "f.csv"
+    f.write_bytes(BOM + b"x1,1\nx2,2\n")
+    code, out, _ = cli(
+        ["transform", "gauge", "--alpha", "2", "--f-file", str(f)], stdin="0,1\n1,0\n"
+    )
+    assert code == 0
+    assert parse_matrix(out).entries.tolist() == [[2.0, 5.0], [5.0, 4.0]]
+    dec = tmp_path / "dec.json"
+    dec.write_bytes(BOM + b'{"d": {"matrix": [[0, 3], [3, 0]]}, "f": {"x1": 1, "x2": 2}}')
+    code, out, _ = cli(["transform", "compose", "-i", str(dec)])
+    assert code == 0
+    assert json.loads(out)["matrix"] == [[1.0, 3.0], [3.0, 2.0]]
+
+
+@pytest.mark.parametrize("flag", ["-i", "--f-file", "--other"])
+def test_a_file_that_is_not_utf8_is_an_input_error(cli, tmp_path, flag):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\xff\xfe0,1\n1,0\n")
+    argv = {
+        "-i": ["classify", "-i", str(bad)],
+        "--f-file": ["transform", "gauge", "--alpha", "1", "--f-file", str(bad)],
+        "--other": ["transform", "add", "--other", str(bad)],
+    }[flag]
+    code, out, err = cli(argv, stdin="0,1\n1,0\n")
+    assert (code, out, err) == (2, "", f"error: {bad} is not UTF-8 text\n")
+
+
+def test_standard_input_that_is_not_utf8_is_an_input_error(cli):
+    # Python's UTF-8 mode reads the bytes ff fe as these lone surrogates.
+    code, out, err = cli(["check", "triangle:t"], stdin="\udcff\udcfe0,1\n1,0\n")
+    assert (code, out, err) == (2, "", "error: standard input is not UTF-8 text\n")
 
 
 def test_generate_deterministic(cli):

@@ -234,6 +234,7 @@ def test_shortest_path_closure_matches_oracle():
         assert check_triangle(closed, "t").status is Status.PASS
 
 
+@pytest.mark.blas
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 8).flatmap(
     lambda n: st.lists(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e-9]),
@@ -257,6 +258,7 @@ def drawn_edges(n, seed, scale, symmetric):
     return E + E.T if symmetric else E
 
 
+@pytest.mark.blas
 @pytest.mark.parametrize("scale", [1.0, 10.0, 2.0**40])
 def test_float32_closure_is_the_float64_closure_bit_for_bit(scale):
     for n, seed, symmetric in ((2, 1, True), (40, 2, True), (40, 3, False), (64, 4, False)):
@@ -271,6 +273,7 @@ def test_float32_closure_is_the_float64_closure_bit_for_bit(scale):
         assert np.array_equal(got.view(np.int64), broadcast_closure(E).view(np.int64))
 
 
+@pytest.mark.blas
 def test_float32_closure_takes_signed_zero_but_refuses_off_grid_and_negative_edges():
     E = drawn_edges(12, 5, 10.0, False)
     signed_zero = E.copy()
@@ -311,6 +314,7 @@ def test_perturb_generated_protometrics(ty):
     assert int((q.entries != p.entries).sum()) == 1
 
 
+@pytest.mark.blas
 @settings(max_examples=80, deadline=None)
 @given(st.integers(2, 8), st.integers(0, 2**64 - 1), st.sampled_from("oitc"),
        st.sampled_from([1.0, 0.25, 3.0]))

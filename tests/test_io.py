@@ -19,6 +19,7 @@ from protometrics import (
     serialize_matrix,
     serialize_report,
 )
+from protometrics.io import parse_decomposition
 
 HDIFF = [[0.0, -1.0, -3.0], [1.0, 0.0, -2.0], [3.0, 2.0, 0.0]]
 
@@ -32,6 +33,26 @@ def test_detect_format():
     assert detect_format('  \n {"matrix": [[0]]}') is MatrixFormat.JSON
     assert detect_format("0,1\n1,0") is MatrixFormat.CSV
     assert detect_format(",a\na,0") is MatrixFormat.CSV
+
+
+BOM = "\ufeff"  # the byte-order mark that spreadsheet exports put first
+
+
+@pytest.mark.parametrize("text", [
+    "0,1,2\n1,0,1\n2,1,0\n",
+    ",a,b\na,0,1\nb,1,0\n",
+    '{"labels": ["a", "b"], "matrix": [[0, 1], [1, 0]]}',
+])
+def test_a_leading_byte_order_mark_is_ignored(text):
+    assert detect_format(BOM + text) is detect_format(text)
+    assert parse_matrix(BOM + text) == parse_matrix(text)
+
+
+def test_gauge_and_decomposition_ignore_a_leading_byte_order_mark():
+    assert parse_gauge_csv(BOM + "a,1\nb,2\n") == {"a": 1.0, "b": 2.0}
+    doc = '{"d": {"matrix": [[0, 3], [3, 0]]}, "f": {"x1": 1, "x2": 2}}'
+    dec = parse_decomposition(BOM + doc)
+    assert dec is not None and dec == parse_decomposition(doc)
 
 
 def test_matrix_format_parse():

@@ -181,9 +181,22 @@ def test_inequality_threshold_is_the_least_passing_float(eps):
             assert tol.ineq_fails(math.nextafter(t, -math.inf) - d), (eps, d)
 
 
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+def test_inequality_threshold_over_every_finite_float(d, eps):
+    tol = ToleranceConfig(eps_ineq=eps)
+    t = tol.ineq_threshold(d)
+    assert not tol.ineq_fails(t - d)
+    assert tol.ineq_fails(math.nextafter(t, -math.inf) - d)
+    assert not (t == 0.0 and math.copysign(1.0, t) < 0.0)  # never -0.0
+
+
 def test_inequality_threshold_far_from_its_start():
-    # fl(d - eps) is 0 here, but s - 1e-9 rounds to -1e-9 for every s down to
-    # about half an ulp of 1e-9: about 4.2e18 floats below the start.
+    # fl(d - eps) is 0 here, yet s - 1e-9 rounds to -1e-9 for every s down to
+    # half an ulp of 1e-9, about 4.2e18 floats below 0: the answer is that
+    # half ulp, where the search starts.
     assert ToleranceConfig(eps_ineq=1e-9).ineq_threshold(1e-9) == -1.0339757656912845e-25
     assert ToleranceConfig(eps_ineq=0.25).ineq_threshold(0.0) == -0.25
 

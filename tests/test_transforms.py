@@ -471,6 +471,7 @@ def farris_constants(d, x0):
     return got, want
 
 
+@pytest.mark.blas
 def test_float32_min_farris_constant_on_generated_metrics():
     for n, seed in ((50, 1), (80, 7), (120, 11)):
         d = gen_metric(GenSpec(n, seed))
@@ -479,6 +480,7 @@ def test_float32_min_farris_constant_on_generated_metrics():
             assert got.hex() == want.hex()
 
 
+@pytest.mark.blas
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 8), st.integers(0, 2**32), st.sampled_from([1.0, 2.0**-5, 8.0, 2.0**40]),
        st.data())
