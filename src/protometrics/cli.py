@@ -4,7 +4,9 @@ Four subcommands: classify, check, transform, generate. Matrices come from
 a file or standard input and go to a file or standard output; diagnostics go
 to the error stream. Exit codes are part of the contract: 0 for success or
 a passing check, 1 for a failed check or an unmet transform precondition,
-2 for usage or input errors. Flags are validated before any input is read.
+2 for usage or input errors. Each subcommand is one table of ops, and one
+run path checks the flags and --format against the op's entry before any
+input is read.
 """
 
 from __future__ import annotations
@@ -80,94 +82,71 @@ def _tolerance(args: argparse.Namespace) -> ToleranceConfig:
     )
 
 
-def _witness_cap(args: argparse.Namespace) -> int:
-    cap = args.max_witnesses
-    if cap < 1:
-        raise InputError(f"--max-witnesses must be >= 1, got {cap}")
-    return cap
+@dataclass(frozen=True)
+class _Output:
+    """A kind of op output: the --format values it takes and how it is written.
+
+    default applies without --format; None stands for the input matrix's
+    format, or csv without input. refusal, filled in with the op and the
+    format, is the error for any other --format.
+    """
+
+    formats: tuple[str, ...]
+    default: str | None
+    refusal: str
+    write: Callable[[object, str, argparse.Namespace], str]
 
 
-def _matrix_format(args: argparse.Namespace, default: MatrixFormat) -> MatrixFormat:
-    if args.format is None:
-        return default
-    if args.format == "text":
-        raise InputError("matrix output supports csv or json, not text")
-    return MatrixFormat.parse(args.format)
-
-
-def _report_format(args: argparse.Namespace, default: str) -> str:
-    fmt = args.format or default
-    if fmt not in ("json", "text"):
-        raise InputError(f"reports support json or text output, not {fmt!r}")
-    return fmt
-
-
-def run_classify(args: argparse.Namespace) -> int:
-    fmt = _report_format(args, "json")
-    tol = _tolerance(args)
-    cap = _witness_cap(args)
-    M = parse_matrix(_read_text(args.input))
-    report = classify(M, tol, max_witnesses=cap)
-    _write_text(args.output, serialize_report(report, fmt))
-    return 0
-
-
-# Check selector kinds; every kind but transition takes an inequality type.
-CHECKS = {
-    "triangle": lambda M, ty, tol, cap, for_log: check_triangle(M, ty, tol, max_witnesses=cap),
-    "prequad": lambda M, ty, tol, cap, for_log: check_prequadrangle(
-        M, ty, tol, max_witnesses=cap
-    ),
-    "strict": lambda M, ty, tol, cap, for_log: check_strict(M, ty, tol, max_witnesses=cap),
-    "transition": lambda M, ty, tol, cap, for_log: check_transition(
-        M, tol, for_log_transform=for_log, max_witnesses=cap
-    ),
-}
-
-
-def _parse_selector(selector: str) -> tuple[str, InequalityType | None]:
-    kind, sep, rest = selector.partition(":")
-    if kind not in CHECKS:
-        raise InputError(
-            f"unknown property selector {selector!r}; expected triangle:TYPE, "
-            "prequad:TYPE, strict:TYPE, or transition"
-        )
-    if kind == "transition":
-        if sep:
-            raise InputError("the transition selector does not take a type")
-        return kind, None
-    if not rest:
-        raise InputError(f"selector {selector!r} needs a type, like {kind}:t")
-    return kind, InequalityType.parse(rest)
-
-
-def run_check(args: argparse.Namespace) -> int:
-    kind, ty = _parse_selector(args.selector)
-    if args.for_log and kind != "transition":
-        raise InputError("--for-log only applies to the transition selector")
-    fmt = _report_format(args, "text")
-    tol = _tolerance(args)
-    cap = _witness_cap(args)
-    M = parse_matrix(_read_text(args.input))
-    verdict = CHECKS[kind](M, ty, tol, cap, args.for_log)
-    _write_text(args.output, serialize_verdict(args.selector, verdict, fmt))
-    return 1 if verdict.status is Status.FAIL else 0
+_MATRIX = _Output(("csv", "json"), None, "matrix output supports csv or json, not {fmt}",
+                  lambda M, fmt, args: serialize_matrix(M, fmt))
+_REPORT = _Output(("json", "text"), "json", "reports support json or text output, not {fmt!r}",
+                  lambda report, fmt, args: serialize_report(report, fmt))
+_VERDICT = _Output(("json", "text"), "text", "reports support json or text output, not {fmt!r}",
+                   lambda verdict, fmt, args: serialize_verdict(args.op, verdict, fmt))
+_OBJECT = _Output(("json",), "json", "{op} output is always JSON",
+                  lambda obj, fmt, args: json.dumps(obj) + "\n")
+_NUMBER = _Output(("json", "text"), "text", "{op} writes a bare number; use json or text",
+                  lambda x, fmt, args: repr(x) + "\n")
 
 
 @dataclass(frozen=True)
-class _Transform:
-    """One transform op.
+class _Op:
+    """One op of a subcommand: an entry of the subcommand's table.
 
-    run(source, args, tol) returns a matrix, a JSON object or a bare number;
-    source is the parsed input matrix, or the input text when reads_text is
-    set. The op takes the flags in required and optional, and exits 2 when
-    one in required is missing or another op's flag is given.
+    run(source, args, tol) returns what output writes. source is the input
+    matrix, the input text when reads_text is set, or None when the
+    subcommand reads no input; tol is None when it has no tolerance flags.
+    The op exits 2 when a flag in required is missing, or when it is given a
+    flag that only other ops of its subcommand take. A typed op is selected
+    as KIND:TYPE, and run finds the inequality type in args.type.
     """
 
-    run: Callable[[object, argparse.Namespace, ToleranceConfig], object]
+    run: Callable[[object, argparse.Namespace, ToleranceConfig | None], object]
+    output: _Output
     required: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
     reads_text: bool = False
+    typed: bool = False
+
+
+# Table entries call library functions through this module's globals, so
+# that a rebinding of those names (as the benchmark's tracer does) reaches them.
+CLASSIFY = {
+    "classify": _Op(lambda M, args, tol: classify(M, tol, max_witnesses=args.max_witnesses),
+                    _REPORT),
+}
+
+CHECKS = {
+    "triangle": _Op(lambda M, args, tol: check_triangle(
+        M, args.type, tol, max_witnesses=args.max_witnesses), _VERDICT, typed=True),
+    "prequad": _Op(lambda M, args, tol: check_prequadrangle(
+        M, args.type, tol, max_witnesses=args.max_witnesses), _VERDICT, typed=True),
+    "strict": _Op(lambda M, args, tol: check_strict(
+        M, args.type, tol, max_witnesses=args.max_witnesses), _VERDICT, typed=True),
+    "transition": _Op(lambda M, args, tol: check_transition(
+        M, tol, for_log_transform=args.for_log, max_witnesses=args.max_witnesses),
+        _VERDICT, optional=("for_log",)),
+}
 
 
 def _compose(text: str, args: argparse.Namespace, tol: ToleranceConfig) -> LabeledMatrix:
@@ -189,91 +168,101 @@ def _preorder(M: LabeledMatrix, args: argparse.Namespace, tol: ToleranceConfig) 
 
 
 TRANSFORMS = {
-    "transpose": _Transform(lambda M, args, tol: transforms.transpose(M)),
-    "gauge": _Transform(
-        lambda M, args, tol: transforms.affine_gauge(
-            M, args.alpha, parse_gauge_csv(_read_text(args.f_file))
-        ),
-        required=("alpha", "f_file"),
-    ),
-    "add": _Transform(
-        lambda M, args, tol: transforms.add(M, parse_matrix(_read_text(args.other))),
-        required=("other",),
-    ),
-    "metrize": _Transform(
-        lambda M, args, tol: transforms.metrize(M, 1.0 if args.alpha is None else args.alpha, tol),
-        optional=("alpha",),
-    ),
-    "compose": _Transform(_compose, optional=("f_file",), reads_text=True),
-    "decompose": _Transform(lambda M, args, tol: decomposition_obj(transforms.decompose(M, tol))),
-    "zerocoords": _Transform(lambda M, args, tol: asdict(transforms.zero_coordinates(M, tol))),
-    "potential": _Transform(
-        lambda M, args, tol: {"h": transforms.potential_of(M, tol), "ref": M.labels[0]}
-    ),
-    "preorder": _Transform(_preorder),
-    "gromov": _Transform(
-        lambda M, args, tol: transforms.gromov_product(M, args.base_label, tol),
-        required=("base_label",),
-    ),
-    "farris": _Transform(
-        lambda M, args, tol: transforms.farris_transform(M, args.base_label, args.constant, tol),
-        required=("base_label", "constant"),
-    ),
-    "minfarris": _Transform(
-        lambda M, args, tol: transforms.min_farris_constant(M, args.base_label, tol),
-        required=("base_label",),
-    ),
-    "log": _Transform(lambda M, args, tol: transforms.log_transform(M)),
+    "transpose": _Op(lambda M, args, tol: transforms.transpose(M), _MATRIX),
+    "gauge": _Op(lambda M, args, tol: transforms.affine_gauge(
+        M, args.alpha, parse_gauge_csv(_read_text(args.f_file))), _MATRIX,
+        required=("alpha", "f_file")),
+    "add": _Op(lambda M, args, tol: transforms.add(M, parse_matrix(_read_text(args.other))),
+               _MATRIX, required=("other",)),
+    "metrize": _Op(lambda M, args, tol: transforms.metrize(
+        M, 1.0 if args.alpha is None else args.alpha, tol), _MATRIX, optional=("alpha",)),
+    "compose": _Op(_compose, _MATRIX, optional=("f_file",), reads_text=True),
+    "decompose": _Op(lambda M, args, tol: decomposition_obj(transforms.decompose(M, tol)),
+                     _OBJECT),
+    "zerocoords": _Op(lambda M, args, tol: asdict(transforms.zero_coordinates(M, tol)), _OBJECT),
+    "potential": _Op(lambda M, args, tol: {"h": transforms.potential_of(M, tol),
+                                           "ref": M.labels[0]}, _OBJECT),
+    "preorder": _Op(_preorder, _OBJECT),
+    "gromov": _Op(lambda M, args, tol: transforms.gromov_product(M, args.base_label, tol),
+                  _MATRIX, required=("base_label",)),
+    "farris": _Op(lambda M, args, tol: transforms.farris_transform(
+        M, args.base_label, args.constant, tol), _MATRIX, required=("base_label", "constant")),
+    "minfarris": _Op(lambda M, args, tol: transforms.min_farris_constant(
+        M, args.base_label, tol), _NUMBER, required=("base_label",)),
+    "log": _Op(lambda M, args, tol: transforms.log_transform(M), _MATRIX),
 }
 
 
-def run_transform(args: argparse.Namespace) -> int:
-    op = args.op
-    spec = TRANSFORMS[op]
-    takes = spec.required + spec.optional
-    op_flags = {name for t in TRANSFORMS.values() for name in t.required + t.optional}
-    stray = sorted(n for n in op_flags if n not in takes and getattr(args, n) is not None)
-    if stray:
-        raise InputError(f"transform {op} does not take --{stray[0].replace('_', '-')}")
-    for name in spec.required:
-        if getattr(args, name) is None:
-            raise InputError(f"transform {op} requires --{name.replace('_', '-')}")
-    tol = _tolerance(args)
-    text = _read_text(args.input)
-    in_format = detect_format(text)
-    out = spec.run(text if spec.reads_text else parse_matrix(text, in_format), args, tol)
-    if isinstance(out, float):
-        if args.format == "csv":
-            raise InputError(f"{op} writes a bare number; use json or text")
-        text = repr(out) + "\n"
-    elif isinstance(out, dict):
-        if args.format not in (None, "json"):
-            raise InputError(f"transform {op} output is always JSON")
-        text = json.dumps(out) + "\n"
-    else:
-        text = serialize_matrix(out, _matrix_format(args, in_format))
-    _write_text(args.output, text)
-    return 0
+def _spec(args: argparse.Namespace) -> GenSpec:
+    return GenSpec(n=args.n, seed=args.seed, scale=args.scale)
 
 
 GENERATORS = {
-    "metric": lambda spec, args: gen_metric(spec),
-    "qsm": lambda spec, args: gen_quasi_semi_metric(spec),
-    "protometric": lambda spec, args: gen_protometric(spec, args.type or "t", strict=args.strict),
-    "zeroproto": lambda spec, args: gen_zero_protometric(spec),
+    "metric": _Op(lambda _, args, tol: gen_metric(_spec(args)), _MATRIX),
+    "qsm": _Op(lambda _, args, tol: gen_quasi_semi_metric(_spec(args)), _MATRIX),
+    "protometric": _Op(
+        lambda _, args, tol: gen_protometric(_spec(args), args.type or "t", strict=args.strict),
+        _MATRIX, optional=("type", "strict"),
+    ),
+    "zeroproto": _Op(lambda _, args, tol: gen_zero_protometric(_spec(args)), _MATRIX),
 }
 
 
-def run_generate(args: argparse.Namespace) -> int:
-    kind = args.kind
-    if args.type is not None and kind != "protometric":
-        raise InputError("--type only applies to generate protometric")
-    if args.strict and kind != "protometric":
-        raise InputError("--strict only applies to generate protometric")
-    fmt = _matrix_format(args, MatrixFormat.CSV)
-    M = GENERATORS[kind](GenSpec(n=args.n, seed=args.seed, scale=args.scale), args)
-    _write_text(args.output, serialize_matrix(M, fmt))
-    return 0
+def _parse_selector(selector: str) -> tuple[str, str | None]:
+    """KIND:TYPE as (KIND, TYPE), and a bare KIND as (KIND, None)."""
+    kind, sep, ty = selector.partition(":")
+    return kind, ty if sep else None
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _run(args: argparse.Namespace) -> int:
+    """Run the op that args select from their subcommand's table; the exit code.
+
+    Every check of the flags and of --format runs before any input is read.
+    """
+    table, sub = args.ops, args.subcommand
+    name, ty = _parse_selector(args.op)
+    op = table.get(name)
+    if op is None:  # only a check selector is not restricted to the table by argparse
+        forms = [k + ":TYPE" if o.typed else k for k, o in table.items()]
+        raise InputError(f"unknown property selector {args.op!r}; expected "
+                         f"{', '.join(forms[:-1])}, or {forms[-1]}")
+    if op.typed:
+        if not ty:
+            raise InputError(f"selector {args.op!r} needs a type, like {name}:t")
+        args.type = InequalityType.parse(ty)
+    elif ty is not None:
+        raise InputError(f"the {name} selector does not take a type")
+    where = f"{sub} {name}"
+    takes = op.required + op.optional
+    for flag in sorted({f for o in table.values() for f in o.required + o.optional}):
+        value = getattr(args, flag)  # compared by identity: --alpha 0 is given, and 0.0 == False
+        if flag not in takes and value is not None and value is not False:
+            users = ", ".join(k for k, o in table.items() if flag in o.required + o.optional)
+            raise InputError(f"{where} does not take {_flag(flag)}: "
+                             f"{_flag(flag)} only applies to {sub} {users}")
+    for flag in op.required:
+        if getattr(args, flag) is None:
+            raise InputError(f"{where} requires {_flag(flag)}")
+    output = op.output
+    if args.format is not None and args.format not in output.formats:
+        raise InputError(output.refusal.format(op=where, fmt=args.format))
+    tol = _tolerance(args) if "tolerance_ineq" in args else None
+    if "max_witnesses" in args and args.max_witnesses < 1:
+        raise InputError(f"--max-witnesses must be >= 1, got {args.max_witnesses}")
+    if "input" in args:
+        text = _read_text(args.input)
+        in_format = detect_format(text)
+        source = text if op.reads_text else parse_matrix(text, in_format)
+    else:
+        source, in_format = None, MatrixFormat.CSV
+    out = op.run(source, args, tol)
+    fmt = args.format or output.default or in_format.value
+    _write_text(args.output, output.write(out, fmt, args))
+    return 1 if output is _VERDICT and out.status is Status.FAIL else 0
 
 
 def _add_io_flags(p: argparse.ArgumentParser, with_input: bool = True) -> None:
@@ -308,10 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tolerance_flags(p)
     p.add_argument("--max-witnesses", type=int, default=DEFAULT_WITNESS_CAP, metavar="N",
                    help="violation witnesses kept per check (default 10)")
-    p.set_defaults(func=run_classify)
+    p.set_defaults(ops=CLASSIFY, op="classify")
 
     p = sub.add_parser("check", help="run one property check; exit 1 on failure")
-    p.add_argument("selector",
+    p.add_argument("op", metavar="selector",
                    help="triangle:TYPE, prequad:TYPE, strict:TYPE (TYPE in o,i,t,c), "
                         "or transition")
     p.add_argument("--for-log", action="store_true",
@@ -321,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_tolerance_flags(p)
     p.add_argument("--max-witnesses", type=int, default=DEFAULT_WITNESS_CAP, metavar="N",
                    help="violation witnesses kept (default 10)")
-    p.set_defaults(func=run_check)
+    p.set_defaults(ops=CHECKS)
 
     p = sub.add_parser("transform", help="apply one matrix transformation")
     p.add_argument("op", choices=tuple(TRANSFORMS))
@@ -337,10 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="second operand matrix file (add)")
     _add_io_flags(p)
     _add_tolerance_flags(p)
-    p.set_defaults(func=run_transform)
+    p.set_defaults(ops=TRANSFORMS)
 
     p = sub.add_parser("generate", help="emit a seeded random instance")
-    p.add_argument("kind", choices=tuple(GENERATORS))
+    p.add_argument("op", choices=tuple(GENERATORS))
     p.add_argument("--n", type=int, required=True, help="number of points (>= 1)")
     p.add_argument("--seed", type=int, default=0, help="64-bit stream seed (default 0)")
     p.add_argument("--scale", type=float, default=10.0,
@@ -350,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--strict", action="store_true",
                    help="force strictness by keeping all points distinct")
     _add_io_flags(p, with_input=False)
-    p.set_defaults(func=run_generate)
+    p.set_defaults(ops=GENERATORS)
     return parser
 
 
@@ -361,7 +350,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        return args.func(args)
+        return _run(args)
     except PreconditionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -5,8 +5,9 @@ column, detected by a non-numeric first cell; otherwise a bare numeric grid
 labeled x1..xn. JSON: an object with an optional "labels" array and a
 required square "matrix". Numbers are written with the shortest decimal that
 parses back to the identical binary float, and non-finite values are
-rejected at parse time. One leading byte-order mark (U+FEFF), which
-spreadsheet exports write, is ignored.
+rejected at parse time, as is a JSON label that UTF-8 cannot encode. One
+leading byte-order mark (U+FEFF), which spreadsheet exports write, is
+ignored.
 
 Both directions convert a whole row at a time: a row is parsed by one
 ``map(float, ...)`` and checked by the finiteness of its sum, and written
@@ -186,6 +187,12 @@ def _matrix_from_obj(doc: object) -> LabeledMatrix:
             raise ParseError("'labels' must be an array of strings")
         if len(labels_field) != n:
             raise ParseError(f"{len(labels_field)} labels for a {n}x{n} matrix")
+        for k, label in enumerate(labels_field):
+            try:
+                label.encode("utf-8")
+            except UnicodeEncodeError:  # JSON can escape a lone surrogate, like \udcff
+                raise ParseError(f"label {k + 1} holds a lone surrogate, which UTF-8 "
+                                 f"cannot encode: {label!r}") from None
         labels = tuple(labels_field)
     try:
         return LabeledMatrix(labels, grid)
@@ -243,6 +250,8 @@ def serialize_verdict(selector: str, verdict: PropertyVerdict, format: str) -> s
     """Render one check verdict as JSON or as a text line plus its first witness."""
     if format == "json":
         return json.dumps(_verdict_obj(verdict)) + "\n"
+    if format != "text":
+        raise InputError(f"unknown verdict format {format!r}; expected json or text")
     slack = "n/a" if verdict.min_slack is None else repr(verdict.min_slack)
     lines = [
         f"{selector}: {verdict.status.value} min_slack={slack} "

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from protometrics import LabeledMatrix, auto_labels, classify, parse_matrix, serialize_matrix
-from protometrics.cli import main
+from protometrics.cli import build_parser, main
 
 PATH_CSV = "0,1,2\n1,0,1\n2,1,0\n"
 HDIFF_CSV = "0,-1,-3\n1,0,-2\n3,2,0\n"
@@ -573,3 +574,49 @@ def test_usage_errors(cli):
     assert cli(["frobnicate"])[0] == 2
     assert cli(["transform", "nosuch"], stdin=PATH_CSV)[0] == 2
     assert cli(["generate", "nosuch", "--n", "3"])[0] == 2
+
+
+# Transform ops whose output is a JSON object or a bare number, and the flags each requires.
+NON_MATRIX_OPS = {
+    "decompose": [], "zerocoords": [], "potential": [], "preorder": [],
+    "minfarris": ["--base-label", "x1"],
+}
+
+
+@pytest.mark.parametrize("stdin", ["oops\n", "0,-3\n1,0\n"], ids=["malformed", "precondition"])
+@pytest.mark.parametrize("op", NON_MATRIX_OPS)
+def test_a_bad_format_is_refused_before_the_input_is_read(cli, op, stdin):
+    number = op == "minfarris"
+    for fmt in ["csv"] if number else ["csv", "text"]:
+        code, out, err = cli(["transform", op, *NON_MATRIX_OPS[op], "--format", fmt], stdin=stdin)
+        assert (code, out) == (2, "")
+        assert ("bare number" if number else "always JSON") in err
+
+
+def test_the_op_tables_name_the_parser_flags():
+    """Each flag an op table names is a flag of its subcommand, and each op-only flag is named."""
+    shared = {"help", "op", "input", "output", "format", "tolerance_ineq", "tolerance_eq",
+              "tolerance_strict", "max_witnesses", "n", "seed", "scale"}
+    (subparsers,) = [a for a in build_parser()._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in subparsers.choices.items():
+        named = {f for op in sub.get_default("ops").values() for f in op.required + op.optional}
+        dests = {a.dest for a in sub._actions}
+        assert named <= dests, name
+        assert dests - shared == named, name
+
+
+def test_a_zero_op_flag_counts_as_given(cli):
+    code, _, err = cli(["transform", "transpose", "--alpha", "0"], stdin=PROTO_CSV)
+    assert code == 2
+    assert "does not take --alpha" in err
+
+
+def test_a_json_label_with_a_lone_surrogate_exits_2(cli, tmp_path):
+    src, dst = tmp_path / "sur.json", tmp_path / "out.csv"
+    src.write_text('{"labels": ["\\udcff", "b"], "matrix": [[0, 1], [1, 0]]}')
+    argv = ["transform", "transpose", "-i", str(src), "--format", "csv", "-o", str(dst)]
+    code, out, err = cli(argv)
+    assert (code, out) == (2, "")
+    assert err == "error: label 1 holds a lone surrogate, which UTF-8 cannot encode: '\\udcff'\n"
+    assert not dst.exists()

@@ -12,6 +12,7 @@ from protometrics import (
     ParseError,
     REPORT_FLAGS,
     auto_labels,
+    check_triangle,
     classify,
     detect_format,
     parse_gauge_csv,
@@ -19,7 +20,7 @@ from protometrics import (
     serialize_matrix,
     serialize_report,
 )
-from protometrics.io import parse_decomposition
+from protometrics.io import parse_decomposition, serialize_verdict
 
 HDIFF = [[0.0, -1.0, -3.0], [1.0, 0.0, -2.0], [3.0, 2.0, 0.0]]
 
@@ -297,3 +298,21 @@ def test_parse_gauge_csv():
         parse_gauge_csv("a,1\na,2\n")
     with pytest.raises(ParseError, match=r"expected a number, got 'q' \(row 2, column 2\)"):
         parse_gauge_csv("a,1\nb,q\n")
+
+
+def test_verdict_format_validation():
+    v = check_triangle(lm(HDIFF), "t")
+    assert serialize_verdict("triangle:t", v, "text").startswith("triangle:t: PASS")
+    assert json.loads(serialize_verdict("triangle:t", v, "json"))["status"] == "PASS"
+    with pytest.raises(InputError, match="unknown verdict format 'csv'; expected json or text"):
+        serialize_verdict("triangle:t", v, "csv")
+
+
+def test_a_json_label_with_a_lone_surrogate_is_refused():
+    doc = '{"labels": ["a", "\\udcff"], "matrix": [[0, 1], [1, 0]]}'
+    with pytest.raises(ParseError, match="label 2 holds a lone surrogate"):
+        parse_matrix(doc)
+    with pytest.raises(ParseError, match="label 2 holds a lone surrogate"):
+        parse_decomposition('{"d": ' + doc + ', "f": {"a": 0, "b": 0}}')
+    # an escaped surrogate pair is one character, which UTF-8 encodes
+    assert parse_matrix(doc.replace("\\udcff", "\\ud83d\\ude00")).labels == ("a", "\U0001f600")
