@@ -62,9 +62,10 @@ the least float32 at or above its bound (``_least_float32_at_or_above``),
 which fails at the same entries. min_slack, count_violations and the
 witnesses are thus bit for bit those of the float64 scan. Every scan
 certifies E once, before its first slab, so even a scan that stops at
-x = 0 pays the n**2 certificate. The generators' min-plus closure,
-``min_farris_constant`` and ``perturb_violation`` build their slabs with the
-same ``_OuterSum``, and the first two take the same certificate.
+x = 0 pays the n**2 certificate. The generators' min-plus closure, which
+takes the same certificate, ``perturb_violation`` and ``check_transition``
+build their slabs with the same ``_OuterSum``; ``min_farris_constant`` runs
+the type-o triangle scan of -G.
 """
 
 from __future__ import annotations
@@ -207,19 +208,22 @@ def _least_float32_at_or_above(bound: float) -> np.float32:
 
 
 class _OuterSum:
-    """Writes a[y] + b[z] into an (n, n) buffer as the rank-2 product [a 1] @ [1; b].
+    """Writes a[y] + b[z], or with ``product`` a[y] * b[z], into an (n, n) buffer.
 
-    Each entry equals fl(a[y] + b[z]) (see the module docstring); only the
-    sign of a zero may differ.
+    Either is one rank-2 product: the sum [a 1] @ [1; b], the product
+    [a 0] @ [b; 0]. A sum entry equals fl(a[y] + b[z]) (see the module
+    docstring); a product entry is fl(a[y] * b[z]) plus exact zeros, so it
+    equals the broadcast product. Only the sign of a zero may differ.
     """
 
     __slots__ = ("_lhs", "_rhs", "_a", "_b")
 
-    def __init__(self, n: int, dtype=np.float64):
-        self._lhs = np.ones((n, 2), dtype)
-        self._rhs = np.ones((2, n), dtype)
-        self._a = self._lhs[:, 0]  # the view of the operands that holds a
-        self._b = self._rhs[1]
+    def __init__(self, n: int, dtype=np.float64, *, product: bool = False):
+        fill = 0.0 if product else 1.0
+        self._lhs = np.full((n, 2), fill, dtype)
+        self._rhs = np.full((2, n), fill, dtype)
+        self._a = self._lhs[:, 0]  # the views of the operands that hold a and b
+        self._b = self._rhs[0 if product else 1]
 
     def __call__(self, a, b, out) -> np.ndarray:
         self._a[...] = a
@@ -419,25 +423,6 @@ def check_strict(
     return _verdict(witnesses, min_slack, n * (n - 1), int(np.count_nonzero(mask)))
 
 
-class _OuterProduct:
-    """Writes a[y] * b[z] into an (n, n) buffer as the rank-2 product [a 0] @ [b; 0].
-
-    Each entry is fl(a[y] * b[z]) plus exact zeros, so it equals the
-    broadcast product; only the sign of a zero may differ.
-    """
-
-    __slots__ = ("_lhs", "_rhs")
-
-    def __init__(self, n: int):
-        self._lhs = np.zeros((n, 2))  # column 0 holds a
-        self._rhs = np.zeros((2, n))  # row 0 holds b
-
-    def __call__(self, a, b, out) -> np.ndarray:
-        self._lhs[:, 0] = a
-        self._rhs[0] = b
-        return np.matmul(self._lhs, self._rhs, out=out)
-
-
 def check_transition(
     M: LabeledMatrix,
     tol: ToleranceConfig = DEFAULT_TOLERANCE,
@@ -455,23 +440,23 @@ def check_transition(
     some entry is <= 0, since the entrywise -ln bridge to the protometric
     test is undefined there.
 
-    An x is skipped without a mask when its least rounded slack m lies above
-    a floor that every failing triple's rounded slack is at or below. A NaN
-    slack makes m NaN, which never exceeds a floor. With e = eps_ineq, the
-    bound is B = fl(fl(rhs * c) + e) with c = fl(1 + e), and fl has a relative
-    error of at most 2**-53 on a normal result (a subnormal rhs * c is off by
-    at most 2**-1074, which changes nothing below). Where some rhs at x is < 0
-    there is no floor. Where every rhs at x is >= 0:
+    The loop over x builds its products with the scans' ``_OuterSum``, in
+    float64, and a violation mask only at an x where some triple may fail.
+    With e = eps_ineq >= 2**-40, an x where every rhs is >= 0 is skipped when
+    its least rounded slack m lies above -e/2, a floor that every failing
+    triple's rounded slack is at or below, whatever the magnitude of rhs.
+    The bound is B = fl(fl(rhs * c) + e) with c = fl(1 + e), and fl has a
+    relative error of at most 2**-53 on a normal result (a subnormal rhs * c
+    is off by at most 2**-1074, which changes nothing below). With
+    k = 1 - 2**-53, c >= (1 + e) k, so rhs * c and B do not round below
+    rhs (1 + e) k**2 and (rhs (1 + e) k**2 + e) k, and a failing triple has
+    rhs - lhs < rhs - B <= -rhs ((1 + e) k**3 - 1) - e k. The first term is
+    <= 0, as (1 + e) k**3 >= 1 + e - 3 * 2**-53 (1 + e) > 1, and the second
+    rounds to at most -e (1 - 2**-52) <= -e/2. A NaN slack makes m NaN,
+    which never exceeds the floor. A smaller e has no floor: m is never above
+    0, as the triple at y = x has slack exactly 0.
 
-    - If e >= 2**-40, the floor is -e/2, whatever the magnitude of rhs. With
-      k = 1 - 2**-53, c >= (1 + e) k, so rhs * c and B do not round below
-      rhs (1 + e) k**2 and (rhs (1 + e) k**2 + e) k, and a failing triple has
-      rhs - lhs < rhs - B <= -rhs ((1 + e) k**3 - 1) - e k. The first term
-      is <= 0, as (1 + e) k**3 >= 1 + e - 3 * 2**-53 (1 + e) > 1, and the
-      second rounds to at most -e (1 - 2**-52) <= -e/2.
-    - Otherwise the floor is 0, as B >= rhs.
-
-    Each floor is a proof about transition_fails, not a tolerance rule.
+    The floor is a proof about transition_fails, not a tolerance rule.
     """
     _validate_cap(max_witnesses)
     E = M.entries
@@ -481,12 +466,13 @@ def check_transition(
         return PropertyVerdict(Status.NOT_APPLICABLE, (), None, 0, 0)
     low, high = float(E.min()), float(E.max())
     eps = tol.eps_ineq
+    floor = -0.5 * eps if eps >= 2.0**-40 else math.inf
     min_slack = math.inf
     violations = 0
     witnesses: list[ViolationWitness] = []
     lhs, rhs = np.empty((2, n, n))
     mask = np.empty((n, n), dtype=bool)
-    outer = _OuterProduct(n)
+    outer = _OuterSum(n, product=True)
     for x in range(n):
         d = float(E[x, x])
         outer(E[:, x], E[x], lhs)  # s(y,x) * s(x,z)
@@ -494,9 +480,8 @@ def check_transition(
         m = float(np.subtract(rhs, lhs, out=rhs).min())
         if m < min_slack:
             min_slack = m
-        if not (d > 0 > low or d < 0 < high):  # every rhs >= 0
-            if m > (-0.5 * eps if eps >= 2.0**-40 else 0.0):
-                continue
+        if m > floor and not (d > 0 > low or d < 0 < high):  # and every rhs >= 0
+            continue
         np.multiply(E, d, out=rhs)  # rhs held the slack; the witnesses need rhs itself
         hits = int(np.count_nonzero(tol.transition_fails(lhs, rhs, out=mask)))
         if hits == 0:

@@ -86,6 +86,18 @@ def _parse_row(cells: list[str], row: int, col: int) -> list[float]:
     return [_parse_cell(c, row, col + j) for j, c in enumerate(cells)]
 
 
+def _csv_rows(text: str) -> list[list[str]]:
+    """The rows of CSV text, without blank lines. A row csv cannot read is a ParseError."""
+    rows = []
+    try:
+        for r in csv.reader(_io.StringIO(text)):
+            if r:
+                rows.append(r)
+    except csv.Error as e:  # such as a cell past the field size limit
+        raise ParseError(f"unreadable CSV: {e}", row=len(rows) + 1) from None
+    return rows
+
+
 def _looks_numeric(cell: str) -> bool:
     try:
         float(cell)
@@ -95,7 +107,7 @@ def _looks_numeric(cell: str) -> bool:
 
 
 def _parse_csv(text: str) -> LabeledMatrix:
-    rows = [r for r in csv.reader(_io.StringIO(text)) if r]  # drop blank lines
+    rows = _csv_rows(text)
     labeled = not _looks_numeric(rows[0][0])
     if labeled:
         header = rows[0]
@@ -302,7 +314,7 @@ def serialize_report(report: ClassificationReport, format: str = "json") -> str:
 
 def parse_gauge_csv(text: str) -> dict[str, float]:
     """Parse a two-column label,value CSV into a gauge mapping."""
-    rows = [r for r in csv.reader(_io.StringIO(_without_bom(text))) if r]
+    rows = _csv_rows(_without_bom(text))
     if not rows:
         raise ParseError("empty gauge input")
     out: dict[str, float] = {}

@@ -4,6 +4,7 @@ coordinate extraction, the specialization preorder, and the similarity bridge
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -12,9 +13,8 @@ import numpy as np
 from .checks import (
     BASE_FLAGS,
     DERIVED_FLAGS,
-    _exact_float32,
-    _OuterSum,
     check_prequadrangle,
+    check_triangle,
     degenerate_pairs,
     first_violation,
 )
@@ -334,16 +334,15 @@ def min_farris_constant(
     triangle slack of G, joined with the largest pairwise product and with 0.
     At this C at least one constraint is tight, so any smaller constant breaks
     a triangle or nonnegativity check.
+
+    The maximum is -m, m the min_slack of the type-o triangle scan of -G: each
+    slack of -G is the negated slack of G, bit for bit. -G fails at most x, so
+    the scan takes a tolerance at which nothing fails and builds no mask.
     """
-    G = gromov_product(d, x0, tol).entries
-    # On a certified G each slack is exact in float32 (see checks), so the
-    # float32 maxima equal the float64 ones. max keeps the leading 0.0 among
-    # equal zeros, so C is the same bits on either path.
-    F = _exact_float32(G)
-    A = G if F is None else F
-    outer, slab = _OuterSum(d.n, A.dtype), np.empty_like(A)
-    tops = [float(np.subtract(outer(A[x], A[x], slab), A, out=slab).max()) for x in range(d.n)]
-    return max([0.0, *tops, float(G.max())])
+    G = gromov_product(d, x0, tol)
+    scan = check_triangle(LabeledMatrix(G.labels, -G.entries), InequalityType.OUTGOING,
+                          ToleranceConfig(eps_ineq=sys.float_info.max))
+    return max(0.0, -scan.min_slack, float(G.entries.max()))  # 0.0 wins a tie with -0.0
 
 
 def log_transform(s: LabeledMatrix) -> LabeledMatrix:

@@ -532,7 +532,7 @@ def test_transition_product_is_the_broadcast_product_bit_for_bit(operands):
     out = np.empty((n, n))
     with np.errstate(over="ignore"):
         for a, b in ((a, b), (b, a)):
-            checks._OuterProduct(n)(a, b, out)
+            checks._OuterSum(n, product=True)(a, b, out)
             want = a[:, None] * b[None, :] + 0.0
             assert np.array_equal((out + 0.0).view(np.int64), want.view(np.int64))
 

@@ -196,6 +196,18 @@ def test_transform_gauge(cli, tmp_path):
     assert "alpha" in err
 
 
+def test_a_cell_past_the_csv_field_size_limit_exits_2(cli, tmp_path):
+    # The csv module's default field size limit is 131,072 characters.
+    big = tmp_path / "big.csv"
+    big.write_text("0," + "1" * 140_000 + "\n1,0\n")
+    code, _, err = cli(["classify", "-i", str(big)])
+    assert (code, err) == (2, "error: unreadable CSV: field larger than field limit (131072) "
+                               "(row 1)\n")
+    code, _, err = cli(["transform", "gauge", "--alpha", "1", "--f-file", str(big)],
+                       stdin="0,1\n1,0\n")
+    assert code == 2 and "unreadable CSV" in err
+
+
 def test_transform_add(cli, tmp_path):
     other = tmp_path / "b.csv"
     other.write_text(PATH_CSV)

@@ -140,6 +140,15 @@ def test_parse_csv_errors_carry_positions():
         parse_matrix("1e308,nan,1e308\n1,0,x\n0,0,0")
 
 
+# One cell longer than the csv module's default field size limit of 131,072.
+LONG_CELL = "1" * 140_000
+
+
+def test_parse_csv_refuses_a_cell_past_the_field_size_limit():
+    with pytest.raises(ParseError, match=r"unreadable CSV: field larger .* \(row 2\)"):
+        parse_matrix(f"0,1,2\n\n1,0,{LONG_CELL}\n2,1,0")
+
+
 def test_parse_json_errors():
     with pytest.raises(ParseError, match="invalid JSON"):
         parse_matrix('{"matrix": [[0],')
@@ -298,6 +307,8 @@ def test_parse_gauge_csv():
         parse_gauge_csv("a,1\na,2\n")
     with pytest.raises(ParseError, match=r"expected a number, got 'q' \(row 2, column 2\)"):
         parse_gauge_csv("a,1\nb,q\n")
+    with pytest.raises(ParseError, match=r"unreadable CSV: field larger .* \(row 2\)"):
+        parse_gauge_csv(f"a,1\nb,{LONG_CELL}\n")
 
 
 def test_verdict_format_validation():

@@ -14,6 +14,7 @@ from protometrics import (
     InequalityType,
     LabeledMatrix,
     PreconditionError,
+    Status,
     ToleranceConfig,
     TransitivityError,
     auto_labels,
@@ -178,24 +179,53 @@ def test_classify_scans_each_slab_once(scans):
     assert set(scans[0]) == {(ty, self_term) for ty in InequalityType for self_term in (False, True)}
 
 
-def test_classify_builds_one_slab_per_point_of_a_symmetric_matrix(monkeypatch):
-    # Each slab is one BLAS product, the only np.matmul call classify makes.
-    built = []
+def count_calls(monkeypatch, name):
+    """A list that grows by one at each call of np.<name> from checks."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return getattr(np, name)(*args, **kwargs)
 
     class CountingNumpy(types.ModuleType):
-        def __getattr__(self, name):
-            return getattr(np, name)
-
-        def matmul(self, *args, **kwargs):
-            built.append(1)
-            return np.matmul(*args, **kwargs)
+        def __getattr__(self, attr):
+            return counted if attr == name else getattr(np, attr)
 
     monkeypatch.setattr(checks, "np", CountingNumpy("numpy"))
+    return calls
+
+
+def test_classify_builds_one_slab_per_point_of_a_symmetric_matrix(monkeypatch):
+    # Each slab is one BLAS product, the only np.matmul call classify makes.
+    built = count_calls(monkeypatch, "matmul")
     n = 12
     for M, per_point in ((gen_metric(GenSpec(n, 5)), 1), (gen_quasi_semi_metric(GenSpec(n, 5)), 4)):
         built.clear()
         classify(M)
         assert len(built) == per_point * n
+
+
+def test_the_farris_pass_builds_no_mask(monkeypatch):
+    # Each violation mask is counted by one np.count_nonzero call.
+    d = gen_metric(GenSpec(12, 5))
+    minus_g = LabeledMatrix(d.labels, -gromov_product(d, d.labels[0]).entries)
+    masks = count_calls(monkeypatch, "count_nonzero")
+    assert checks.check_triangle(minus_g, "o").status is Status.FAIL and masks
+    masks.clear()
+    min_farris_constant(d, d.labels[0])
+    assert masks == []
+
+
+def test_a_passing_transition_check_skips_its_masks_only_above_its_floor(monkeypatch):
+    n = 12
+    # 2**-|x - y| passes exactly: every product is a power of two.
+    s = LabeledMatrix(auto_labels(n), [[2.0 ** -abs(x - y) for y in range(n)] for x in range(n)])
+    masks = count_calls(monkeypatch, "count_nonzero")
+    assert checks.check_transition(s).status is Status.PASS
+    assert masks == []
+    # At eps_ineq = 0 no floor applies, so every x builds its mask.
+    assert checks.check_transition(s, ToleranceConfig(eps_ineq=0.0)).status is Status.PASS
+    assert len(masks) == n
 
 
 def test_guarded_transforms_scan_at_most_once(scans):
@@ -217,8 +247,11 @@ def test_guarded_transforms_scan_at_most_once(scans):
         scans.clear()
         fn(M, ToleranceConfig())
         pair_only = flag in ("potential_difference", "zero_protometric")
-        assert len(scans) == (0 if pair_only else 1), name
+        # After its precondition, minfarris runs the type-o triangle scan of -G.
+        farris = [[(InequalityType.OUTGOING, False)]] if name == "minfarris" else []
+        assert len(scans) == (0 if pair_only else 1) + len(farris), name
         assert all(len(kinds) == 1 for kinds in scans), name
+        assert scans[1:] == farris, name
 
 
 def test_reject_on_a_pair_flag_scans_nothing(scans):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from protometrics import (
@@ -21,6 +21,7 @@ from protometrics import (
     check_prequadrangle,
     check_transition,
     check_triangle,
+    checks,
     classify,
     compose,
     decompose,
@@ -34,7 +35,6 @@ from protometrics import (
     perturb_violation,
     potential_of,
     specialization_preorder,
-    transforms,
     transpose,
     zero_coordinates,
 )
@@ -463,11 +463,12 @@ def test_scalar_arguments_must_be_real_numbers(site, bad):
 
 def farris_constants(d, x0):
     """min_farris_constant on float32 slabs of G, and with the float64 slabs forced."""
-    with certificate_paths(transforms) as taken:
+    with certificate_paths(checks) as taken:
         got = min_farris_constant(d, x0)
-    with certificate_paths(transforms, force_float64=True):
+    with certificate_paths(checks, force_float64=True):
         want = min_farris_constant(d, x0)
-    assert taken == [True]
+    # The metric precondition's scan of d, then the type-o scan of -G.
+    assert taken == [True, True]
     return got, want
 
 
@@ -492,3 +493,18 @@ def test_float32_min_farris_constant_on_grid_metrics(n, seed, scale, data):
     got, want = farris_constants(d, x0)
     assert got.hex() == want.hex()
     assert got == farris_scan(gromov_product(d, x0).entries.tolist())
+
+
+@pytest.mark.blas
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 8), st.integers(1, 3), st.integers(0, 2**32), st.floats(-3.0, 3.0),
+       st.data())
+def test_min_farris_constant_on_off_grid_metrics(n, dim, seed, exponent, data):
+    # Euclidean points at scales 1e-3 to 1e3 give an off-grid G, scanned in float64.
+    points = np.random.default_rng(seed).standard_normal((n, dim)) * 10.0**exponent
+    d = LabeledMatrix(auto_labels(n), np.sqrt(((points[:, None] - points[None]) ** 2).sum(-1)))
+    x0 = d.labels[data.draw(st.integers(0, n - 1))]
+    with certificate_paths(checks) as taken:
+        got = min_farris_constant(d, x0)
+    assume(taken[-1] is False)
+    assert got.hex() == farris_scan(gromov_product(d, x0).entries.tolist()).hex()
