@@ -508,22 +508,20 @@ def diagonal_bounds(
     slack. The extrema run over every y, including y = x. For arbitrary
     input an empty interval or a non-member diagonal is reported, never
     raised.
+
+    The bounds come from the operand table: A and B are E.T or E as
+    ``_READS_COLUMN`` says, so that row w of A and of B holds a and b at the
+    centre w, and a_w[x] = b_w[x] = d(x, x) at w = x. The triples (x, x, z)
+    and (x, y, x) give d(x,x) >= d(x,z) - b_x[z] and d(x,x) >= d(y,x) - a_x[y];
+    the triples (w, x, x) give d(x,x) <= a_w[x] + b_w[x]. No bound is -0.0:
+    each is reported as v + 0.0, as verdict floats are.
     """
     ty = InequalityType.parse(ty)
     E = M.entries
     diag = np.diagonal(E)
-    if ty is InequalityType.OUTGOING:
-        lo = (E.T - E).max(axis=1)  # max_y d(y,x) - d(x,y)
-        hi = 2.0 * E.min(axis=0)  # 2 min_y d(y,x)
-    elif ty is InequalityType.INCOMING:
-        lo = (E - E.T).max(axis=1)  # max_y d(x,y) - d(y,x)
-        hi = 2.0 * E.min(axis=1)  # 2 min_y d(x,y)
-    elif ty is InequalityType.TRANSITIVE:
-        lo = np.zeros(M.n)
-        hi = (E + E.T).min(axis=1)  # min_y d(x,y) + d(y,x)
-    else:  # CYCLIC
-        lo = np.abs(E - E.T).max(axis=1)  # max_y |d(x,y) - d(y,x)|
-        hi = (E + E.T).min(axis=1)
+    A, B = (E.T if c else E for c in _READS_COLUMN[ty])
+    lo = np.maximum((E - B).max(axis=1), (E.T - A).max(axis=1)) + 0.0
+    hi = (A + B).min(axis=0) + 0.0
     out = []
     for i, label in enumerate(M.labels):
         # Interval.contains widens [lo, hi] by eps_eq: nonempty when it holds lo.

@@ -7,8 +7,14 @@ Each documented run of draws (a generator's edges, its surjection, its
 gauge) is evaluated as one numpy uint64 block; the draw order is the one
 each generator's docstring gives, and the stream is the scalar one.
 Grid draws keep all downstream linear arithmetic (closures, composition,
-decomposition, metrization) exact in float64 at these magnitudes, which is
-what makes the bijection round-trips bit-exact rather than merely close.
+decomposition, metrization) exact in float64 when the scale is m * 2**e
+with an integer m below 2**29, as the default 10.0 and every power of two
+are: each draw is then an integer of at most 2**49 units of 2**(e - 20),
+and each sum the generators and their checks take stays below 2**53 units.
+That is what makes the bijection round-trips bit-exact rather than merely
+close. At any other scale each draw rounds, and once that error exceeds the
+absolute eps_ineq (from a scale of about 4e6 at the default 1e-9) a
+generated matrix can fail its own class check.
 """
 
 from __future__ import annotations
@@ -258,6 +264,12 @@ def perturb_violation(
     p(y,z) is raised by slack + magnitude. The returned matrix fails
     check_prequadrangle for ty with a deficit of about magnitude; other
     types may or may not fail.
+
+    A matrix that already fails the check is refused from the same pass:
+    rounding is monotone, so the least slack of the whole slab at x is the
+    scan's min_slack at x. At the first x where it fails, the error and its
+    witness come from check_prequadrangle stopped at its first failure,
+    which is the same x.
     """
     ty = InequalityType.parse(ty)
     magnitude = _real_number("magnitude", magnitude)
@@ -270,32 +282,34 @@ def perturb_violation(
         )
     if M.n < 2:
         raise InputError("perturbation needs at least two points")
-    verdict = check_prequadrangle(M, ty, tol, max_witnesses=1, stop_at_first_failure=True)
-    w = first_violation(verdict)
-    if w is not None:
-        raise PreconditionError(
-            f"matrix already fails the type-{ty.value} pre-quadrangle check at "
-            f"(x={w.x!r}, y={w.y!r}, z={w.z!r})",
-            witness=w,
-        )
     E = M.entries
     n = M.n
-    diagonal = np.eye(n, dtype=bool)
+    off_diagonal = ~np.eye(n, dtype=bool)
     a_col, b_col = _READS_COLUMN[ty]
     outer, slack = _OuterSum(n), np.empty((n, n))
     best = []  # per x: (slack, target-is-diagonal, x, y, z) of its first best triple
     for x in range(n):
         outer(E[:, x] if a_col else E[x], E[:, x] if b_col else E[x], slack)
         np.subtract(np.subtract(slack, E, out=slack), E[x, x], out=slack)
+        if tol.ineq_fails(float(slack.min())):
+            verdict = check_prequadrangle(M, ty, tol, max_witnesses=1, stop_at_first_failure=True)
+            w = first_violation(verdict)
+            raise PreconditionError(
+                f"matrix already fails the type-{ty.value} pre-quadrangle check at "
+                f"(x={w.x!r}, y={w.y!r}, z={w.z!r})",
+                witness=w,
+            )
         # Raising p(y,z) raises the right side only, unless (y,z) is also a
         # left-side slot; the inequality then holds identically. Such slots are
-        # a[y] = d(y,x) at z = x, b[z] = d(x,z) at y = x, and (x, x).
-        free = np.ones((n, n), dtype=bool)
-        free[:, x] = not a_col
-        free[x, :] = b_col
-        free[x, x] = False
-        ties = free & (slack == slack[free].min())
-        off = ties & ~diagonal
+        # a[y] = d(y,x) at z = x, b[z] = d(x,z) at y = x, and (x, x). As NaN
+        # they take no part in the minimum or its ties, even beside a +inf.
+        if a_col:
+            slack[:, x] = np.nan
+        if not b_col:
+            slack[x] = np.nan
+        slack[x, x] = np.nan
+        ties = slack == np.fmin.reduce(slack, axis=None)
+        off = ties & off_diagonal
         y, z = divmod(int(np.argmax(off if off.any() else ties)), n)
         best.append((float(slack[y, z]), y == z, x, y, z))
     s, _, x, y, z = min(best)

@@ -98,42 +98,28 @@ def _csv_rows(text: str) -> list[list[str]]:
     return rows
 
 
-def _looks_numeric(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
-
-
 def _parse_csv(text: str) -> LabeledMatrix:
     rows = _csv_rows(text)
-    labeled = not _looks_numeric(rows[0][0])
-    if labeled:
-        header = rows[0]
-        labels = tuple(header[1:])
-        n = len(labels)
-        if n == 0:
-            raise ParseError("header row carries no labels", row=1)
-        body = rows[1:]
-        if len(body) != n:
-            raise ParseError(f"{n} labels but {len(body)} data rows")
-        grid = []
-        for i, r in enumerate(body):
-            if len(r) != n + 1:
-                raise ParseError(f"expected {n + 1} cells, got {len(r)}", row=i + 2)
-            if r[0] != labels[i]:
-                raise ParseError(f"row label {r[0]!r} does not match header label {labels[i]!r}",
-                                 row=i + 2, col=1)
-            grid.append(_parse_row(r[1:], i + 2, 2))
-    else:
-        labels = auto_labels(len(rows))
-        n = len(rows)
-        grid = []
-        for i, r in enumerate(rows):
-            if len(r) != n:
-                raise ParseError(f"expected {n} cells, got {len(r)}", row=i + 1)
-            grid.append(_parse_row(r, i + 1, 1))
+    try:  # a labeled grid starts with a header row and each row with its label
+        float(rows[0][0])
+        skip = 0
+    except ValueError:
+        skip = 1
+    labels = tuple(rows[0][1:]) if skip else auto_labels(len(rows))
+    n = len(labels)
+    if n == 0:
+        raise ParseError("header row carries no labels", row=1)
+    body = rows[skip:]
+    if len(body) != n:
+        raise ParseError(f"{n} labels but {len(body)} data rows")
+    grid = []
+    for i, r in enumerate(body):
+        if len(r) != n + skip:
+            raise ParseError(f"expected {n + skip} cells, got {len(r)}", row=i + 1 + skip)
+        if skip and r[0] != labels[i]:
+            raise ParseError(f"row label {r[0]!r} does not match header label {labels[i]!r}",
+                             row=i + 2, col=1)
+        grid.append(_parse_row(r[skip:], i + 1 + skip, 1 + skip))
     try:
         return LabeledMatrix(labels, grid)
     except InvalidMatrixError as e:

@@ -102,6 +102,36 @@ def diag_interval(E, ty, x):
     )
 
 
+# The (row, column) of the entries a and b that LHS adds at (x, y, z).
+SLOTS = {
+    "o": lambda x, y, z: ((x, y), (x, z)),
+    "i": lambda x, y, z: ((y, x), (z, x)),
+    "t": lambda x, y, z: ((y, x), (x, z)),
+    "c": lambda x, y, z: ((x, y), (z, x)),
+}
+
+
+def diagonal_bounds_scan(E, ty):
+    """(lo, hi) per point x from the type-ty triangle triples that pin d(x,x).
+
+    a + b >= d(y,z) holds d(x,x) in slot a at (x, x, z), in slot b at
+    (x, y, x) and on the right at (w, x, x). So lo is the largest d(y,z)
+    less the other slot over the first two, and hi the least a + b over the
+    third, with z, y and w running over every point, x included. Each bound
+    is given as v + 0.0.
+    """
+    n = len(E)
+    slots = SLOTS[ty]
+    at = lambda s: E[s[0]][s[1]]
+    out = []
+    for x in range(n):
+        lo = max([E[x][z] - at(slots(x, x, z)[1]) for z in range(n)]
+                 + [E[y][x] - at(slots(x, y, x)[0]) for y in range(n)])
+        hi = min(at(a) + at(b) for a, b in (slots(w, x, x) for w in range(n)))
+        out.append((lo + 0.0, hi + 0.0))
+    return out
+
+
 def splitmix64(seed, k):
     """The first k SplitMix64 outputs from seed, one Python-int draw at a time."""
     mask = (1 << 64) - 1

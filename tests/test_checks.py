@@ -25,7 +25,14 @@ from protometrics import (
 )
 
 from certificate import certificate_paths
-from oracles import LHS, additive_scan, diag_interval, strict_scan, transition_scan
+from oracles import (
+    LHS,
+    additive_scan,
+    diag_interval,
+    diagonal_bounds_scan,
+    strict_scan,
+    transition_scan,
+)
 
 PATH = [[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]]
 # antisymmetric difference matrix of the potential h = (0, 1, 3)
@@ -323,6 +330,26 @@ def test_diagonal_bounds_match_oracle(rows, ty):
         assert iv.hi == pytest.approx(hi, abs=1e-12)
         expect = lo - 1e-9 <= E[k][k] <= hi + 1e-9
         assert member == expect
+
+
+EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 2.0, 1e308, -1e308, 1.7e308, 5e-324, -5e-324]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from(EDGE_VALUES) | st.floats(-3, 3), min_size=n, max_size=n),
+    min_size=n, max_size=n)), st.sampled_from("oitc"))
+def test_diagonal_bounds_equal_the_triple_oracle(rows, ty):
+    m = lm(rows)
+    with np.errstate(over="ignore"):  # sums of +-1e308 may overflow, here to a bound of +-inf
+        got = diagonal_bounds(m, ty)
+    want = diagonal_bounds_scan(m.entries.tolist(), ty)
+    for (x, iv, member), (lo, hi), k in zip(got, want, range(m.n)):
+        assert (x, iv.lo, iv.hi) == (m.labels[k], lo, hi)
+        assert math.copysign(1.0, iv.lo) == math.copysign(1.0, lo)  # no -0.0
+        assert math.copysign(1.0, iv.hi) == math.copysign(1.0, hi)
+        assert iv.nonempty == (lo <= hi + 1e-9)
+        assert member == (lo - 1e-9 <= rows[k][k] <= hi + 1e-9)
 
 
 def ulps_around(v, k=3):

@@ -94,9 +94,20 @@ def test_classify_tolerance_plumbing(cli):
     assert json.loads(out)["flags"]["triangle_t"] is True
 
 
-def test_classify_rejects_bad_tolerance_and_cap(cli):
+def test_classify_rejects_bad_tolerance_and_cap(cli, tmp_path):
     assert cli(["classify", "--tolerance-ineq", "-1"], stdin=PATH_CSV)[0] == 2
     assert cli(["classify", "--max-witnesses", "0"], stdin=PATH_CSV)[0] == 2
+    # The cap is refused before the input is read.
+    absent = str(tmp_path / "absent.csv")
+    assert cli(["classify", "--max-witnesses", "0", "-i", absent]) == (
+        2, "", "error: --max-witnesses must be >= 1, got 0\n")
+
+
+def test_standard_output_is_not_also_a_file_named_dash(cli, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = cli(["classify"], stdin=PATH_CSV)
+    assert code == 0 and json.loads(out)["flags"]["metric"] is True
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_classify_missing_input_file(cli, tmp_path):

@@ -327,9 +327,29 @@ def test_perturb_matches_the_reference_loop(n, seed, ty, magnitude):
     assert perturb_violation(p, ty, magnitude).entries.tobytes() == want.tobytes()
 
 
+def test_perturb_skips_the_diagonal_slot_of_the_centre():
+    # For type c the only slot on both sides is (x, x), at y = z = x. Its
+    # slack is exactly 0, below the rounding residue 2**-54 of p(x1, x2), but
+    # raising p(x1, x1) would raise both sides and leave the check passing.
+    d = 1.5 * 2.0**-53
+    m = lm([[d, 1.0], [1.0, d]])
+    q = perturb_violation(m, "c", 1.0)
+    assert np.argwhere(q.entries != m.entries).tolist() == [[0, 1]]  # p(x1, x2)
+    v = check_prequadrangle(q, "c")
+    assert v.status is Status.FAIL and v.min_slack == -1.0
+
+
+def test_closed_draws_refuse_a_scale_too_small_to_separate_points():
+    with pytest.raises(InputError, match="too small to keep distances away from zero"):
+        gen_metric(GenSpec(n=2, seed=0, scale=1e-12))
+
+
 def test_perturb_rejects_bad_magnitude():
     m = lm([[0.0, 1.0], [1.0, 0.0]])
-    for bad in (0.0, -1.0, math.nan, math.inf, True, 1e-10):
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(InputError, match="must be finite and > 0"):
+            perturb_violation(m, "t", bad)
+    for bad in (True, 1e-10):
         with pytest.raises(InputError):
             perturb_violation(m, "t", bad)
     # a magnitude at the tolerance boundary cannot guarantee detection
@@ -360,3 +380,8 @@ def test_perturb_needs_two_points_and_a_passing_input(monkeypatch):
             assert first is not None and err.value.witness == first
             # The rejection scans the slabs up to the x of its witness, not all n^3 triples.
             assert scanned[-1] == (M.labels.index(first.x) + 1) * M.n**2
+    # An accepted call decides the precondition in its own pass, with no scan.
+    scanned.clear()
+    for ty in "oitc":
+        perturb_violation(gen_protometric(GenSpec(6, 11), ty), ty, 1.0)
+    assert scanned == []

@@ -112,8 +112,9 @@ def test_parse_empty_input():
 
 
 def test_parse_csv_errors_carry_positions():
-    with pytest.raises(ParseError, match=r"expected a number, got 'x' \(row 1, column 2\)"):
+    with pytest.raises(ParseError, match=r"expected a number, got 'x' \(row 1, column 2\)") as err:
         parse_matrix("0,x\n1,0")
+    assert (err.value.row, err.value.col) == (1, 2)
     with pytest.raises(ParseError, match=r"row label 'c' does not match header label 'b' \(row 3, column 1\)"):
         parse_matrix(",a,b\na,0,1\nc,1,0")
     with pytest.raises(ParseError, match=r"expected 3 cells, got 2 \(row 2\)"):

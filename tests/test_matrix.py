@@ -48,6 +48,7 @@ def test_matrix_basics():
     assert m.entry("a", "b") == 1.0
     assert m.entry("b", "a") == 2.0
     assert m.index("b") == 1
+    assert repr(m) == "LabeledMatrix(n=2, labels=['a', 'b'])"
 
 
 def test_matrix_is_immutable():
@@ -61,6 +62,11 @@ def test_matrix_is_immutable():
     m2 = LabeledMatrix(("a", "b"), src)
     src[0, 1] = 9.0
     assert m2.entries[0, 1] == 0.0
+    # nor the caller's list of labels
+    labels = ["a", "b"]
+    m3 = LabeledMatrix(labels, src)
+    labels[0] = "z"
+    assert m3.labels == ("a", "b")
 
 
 def test_matrix_validation():
@@ -199,6 +205,9 @@ def test_inequality_threshold_far_from_its_start():
     # half ulp, where the search starts.
     assert ToleranceConfig(eps_ineq=1e-9).ineq_threshold(1e-9) == -1.0339757656912845e-25
     assert ToleranceConfig(eps_ineq=0.25).ineq_threshold(0.0) == -0.25
+    # Here the search starts one float above its answer and steps down.
+    want = float.fromhex("-0x1.6666666666667p+0")
+    assert ToleranceConfig(eps_ineq=1.75).ineq_threshold(0.35) == want
 
 
 def test_tolerance_inequality_rule_on_a_float_stays_in_python():

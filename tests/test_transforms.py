@@ -143,8 +143,11 @@ def test_affine_gauge_rejects_bad_inputs():
         affine_gauge(p, 1.0, {"x1": 0.0})
     with pytest.raises(InputError, match="unknown label"):
         affine_gauge(p, 1.0, {"x1": 0.0, "x2": 0.0, "zz": 0.0})
-    with pytest.raises(InputError, match="non-finite"):
+    # The gauge is refused before the result, which would name a matrix entry.
+    with pytest.raises(InputError, match="gauge f has a non-finite value at label 'x2'"):
         affine_gauge(p, 1.0, {"x1": 0.0, "x2": math.inf})
+    with pytest.raises(InputError, match="gauge f has a non-finite value at label 'x1'"):
+        compose(p, {"x1": math.inf, "x2": 0.0})
 
 
 def test_metrize_golden():
@@ -444,6 +447,9 @@ SCALAR_SITES = {
     "eps_strict": lambda v: ToleranceConfig(eps_strict=v),
     "GenSpec scale": lambda v: GenSpec(3, 0, v),
 }
+# The sites that store their argument, and the field that holds it.
+STORED = {"eps_ineq": "eps_ineq", "eps_eq": "eps_eq", "eps_strict": "eps_strict",
+          "GenSpec scale": "scale"}
 
 
 @pytest.mark.parametrize("site", SCALAR_SITES)
@@ -458,7 +464,9 @@ def test_scalar_arguments_must_be_real_numbers(site, bad):
         SCALAR_SITES[site](bad)
     # Any real number that fits a float is accepted, numpy's real scalars included.
     for good in (2, np.int64(2), np.float32(2), Fraction(2)):
-        SCALAR_SITES[site](good)
+        out = SCALAR_SITES[site](good)
+        if site in STORED:  # as a float, so that no threshold search runs in float32
+            assert type(getattr(out, STORED[site])) is float
 
 
 def farris_constants(d, x0):
