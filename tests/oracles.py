@@ -8,12 +8,24 @@ oracle disagree, the oracle wins.
 
 import numpy as np
 
-LHS = {
-    "o": lambda E, x, y, z: E[x][y] + E[x][z],
-    "i": lambda E, x, y, z: E[y][x] + E[z][x],
-    "t": lambda E, x, y, z: E[y][x] + E[x][z],
-    "c": lambda E, x, y, z: E[z][x] + E[x][y],
+# The (row, column) of the entries a and b that the left side of the type-ty
+# triangle inequality a + b >= d(y, z) adds at the triple (x, y, z).
+SLOTS = {
+    "o": lambda x, y, z: ((x, y), (x, z)),
+    "i": lambda x, y, z: ((y, x), (z, x)),
+    "t": lambda x, y, z: ((y, x), (x, z)),
+    "c": lambda x, y, z: ((x, y), (z, x)),
 }
+
+
+def _lhs(slots):
+    def lhs(E, x, y, z):
+        (r, s), (u, v) = slots(x, y, z)
+        return E[r][s] + E[u][v]
+    return lhs
+
+
+LHS = {ty: _lhs(slots) for ty, slots in SLOTS.items()}
 
 
 def additive_scan(E, ty, prequad, eps=1e-9):
@@ -86,29 +98,6 @@ def transition_scan(E, eps=1e-9):
                 if E[y][x] * E[x][z] > E[y][z] * E[x][x] * (1 + eps) + eps:
                     bad.append((x, y, z))
     return bad
-
-
-def diag_interval(E, ty, x):
-    ys = range(len(E))
-    if ty == "o":
-        return max(E[y][x] - E[x][y] for y in ys), 2 * min(E[y][x] for y in ys)
-    if ty == "i":
-        return max(E[x][y] - E[y][x] for y in ys), 2 * min(E[x][y] for y in ys)
-    if ty == "t":
-        return 0.0, min(E[x][y] + E[y][x] for y in ys)
-    return (
-        max(abs(E[x][y] - E[y][x]) for y in ys),
-        min(E[x][y] + E[y][x] for y in ys),
-    )
-
-
-# The (row, column) of the entries a and b that LHS adds at (x, y, z).
-SLOTS = {
-    "o": lambda x, y, z: ((x, y), (x, z)),
-    "i": lambda x, y, z: ((y, x), (z, x)),
-    "t": lambda x, y, z: ((y, x), (x, z)),
-    "c": lambda x, y, z: ((x, y), (z, x)),
-}
 
 
 def diagonal_bounds_scan(E, ty):

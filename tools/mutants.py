@@ -8,7 +8,7 @@ the mutated module's own ``tests/test_<module>.py`` first, under a
 per-mutant timeout. A mutant is *killed* when pytest fails or times out,
 and *survives* when it passes.
 
-    python tools/mutants.py --workers 2 --out MUTANTS.json \\
+    python tools/mutants.py --out MUTANTS.json \\
         src/protometrics/checks.py src/protometrics/io.py -- tests/test_checks.py
 
 With no modules every module of ``src/protometrics`` is mutated; with no
@@ -16,8 +16,8 @@ test modules after ``--`` every ``tests/test_*.py`` runs. The tree must
 pass its tests unmutated, which is checked first. Only the standard library
 is used. Every pytest run is started in a process group of its own and the
 group is killed on a timeout or an interrupt, so no process outlives the
-script. The output lists each survivor with an empty ``outcome`` for a
-reader to fill in.
+script. The output lists each survivor with an empty ``outcome`` and
+``reason`` for a reader to fill in.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT = 300.0  # seconds per mutant; the whole suite takes well under a minute
+WORKERS = min(2, os.cpu_count() or 1)  # worker trees, each running one pytest at a time
 
 
 def _statements(tree: ast.Module):
@@ -98,7 +100,7 @@ def _first_own(tests: list[str], module: str) -> list[str]:
     return sorted(tests, key=lambda t: t != own)
 
 
-def _pytest(tree: Path, tests: list[str], timeout: float, running: set) -> str:
+def _pytest(tree: Path, tests: list[str], running: set) -> str:
     """Run the tests in a worker tree: "passed", "failed" or "timeout"."""
     shutil.rmtree(tree / ".hypothesis", ignore_errors=True)  # no example carries over
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
@@ -107,7 +109,7 @@ def _pytest(tree: Path, tests: list[str], timeout: float, running: set) -> str:
                             stderr=subprocess.DEVNULL, start_new_session=True)
     running.add(proc)
     try:
-        return "passed" if proc.wait(timeout) == 0 else "failed"
+        return "passed" if proc.wait(TIMEOUT) == 0 else "failed"
     except subprocess.TimeoutExpired:
         return "timeout"
     finally:
@@ -122,16 +124,12 @@ def main(argv: list[str] | None = None) -> int:
     argv = argv[:argv.index("--")] if "--" in argv else argv
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("modules", nargs="*", type=Path)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant")
     parser.add_argument("--out", type=Path, default=Path("MUTANTS.json"))
     args = parser.parse_args(argv)
-    if not 1 <= args.workers <= 8:
-        parser.error("--workers must be between 1 and 8")
     modules = [m.resolve() for m in args.modules] or sorted((ROOT / "src" / "protometrics").glob("*.py"))
     tests = tests or sorted(str(p.relative_to(ROOT)) for p in (ROOT / "tests").glob("test_*.py"))
     todo = [m for path in modules for m in mutants(path)]
-    print(f"{len(todo)} mutants of {len(modules)} modules, {args.workers} workers", flush=True)
+    print(f"{len(todo)} mutants of {len(modules)} modules, {WORKERS} workers", flush=True)
 
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))  # so that the cleanup below runs
     running: set[subprocess.Popen] = set()
@@ -139,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.monotonic()
     with tempfile.TemporaryDirectory(prefix="mutants-") as work:
         trees: queue.Queue[Path] = queue.Queue()
-        for k in range(args.workers):
+        for k in range(WORKERS):
             tree = Path(work) / f"w{k}"
             tree.mkdir()
             for name in COPIED:
@@ -154,19 +152,19 @@ def main(argv: list[str] | None = None) -> int:
             tree = trees.get()
             try:
                 if mutant is None:
-                    return {"outcome": _pytest(tree, tests, args.timeout, running)}
+                    return {"outcome": _pytest(tree, tests, running)}
                 target = tree / mutant["module"]
                 original = target.read_text()
                 target.write_text(mutant["text"])
                 try:
                     ordered = _first_own(tests, mutant["module"])
-                    return {**mutant, "result": _pytest(tree, ordered, args.timeout, running)}
+                    return {**mutant, "result": _pytest(tree, ordered, running)}
                 finally:
                     target.write_text(original)
             finally:
                 trees.put(tree)
 
-        pool = concurrent.futures.ThreadPoolExecutor(args.workers)
+        pool = concurrent.futures.ThreadPoolExecutor(WORKERS)
         try:
             if run(None)["outcome"] != "passed":
                 print("the unmutated tree fails its tests", file=sys.stderr)
@@ -192,7 +190,8 @@ def main(argv: list[str] | None = None) -> int:
         "survived": count["passed"],
         "minutes": round((time.monotonic() - started) / 60, 1),
         "survivors": [
-            {"module": r["module"], "line": r["line"], "statement": r["statement"], "outcome": ""}
+            {"module": r["module"], "line": r["line"], "statement": r["statement"],
+             "outcome": "", "reason": ""}
             for r in results if r["result"] == "passed"
         ],
     }
