@@ -232,12 +232,13 @@ class _OuterSum:
 
 
 def _leading_hits(mask: np.ndarray, room: int) -> list[tuple[int, int]]:
-    """The first ``room`` indices (y, z) where ``mask`` holds, in row-major order."""
+    """The first ``room`` indices (y, z) where ``mask`` holds, in row-major order.
+
+    Each row that holds gives at least one, so only its first ``room`` such rows are read.
+    """
     hits: list[tuple[int, int]] = []
-    for y in mask.any(axis=1).nonzero()[0].tolist() if room else ():
+    for y in mask.any(axis=1).nonzero()[0][:room].tolist() if room else ():
         hits += [(y, z) for z in mask[y].nonzero()[0][: room - len(hits)].tolist()]
-        if len(hits) == room:
-            break
     return hits
 
 
@@ -282,21 +283,18 @@ def _scan(
     reads = [(_READS_COLUMN[ty], pairs) for ty, pairs in by_type.items()]
     shared = len(reads) > 1
     every = [(reads[0][0], [(k, self_term) for k, (_, self_term) in enumerate(kinds)])]
-    columns = any(a or b for (a, b), _ in reads)
     diag = E.diagonal().tolist()
     fails = tol.ineq_fails
     mins = [math.inf] * len(kinds)
     violations = [0] * len(kinds)
     found: list[list[ViolationWitness]] = [[] for _ in kinds]
     mask = np.empty((n, n), dtype=bool)
-    subtract = np.subtract
     # The slabs are float32 when E is certified, float64 otherwise. Row x of
     # A is A[x] and column x is cols[x], a C-ordered copy made once when
     # some type reads a column.
     F = _exact_float32(E)
     A = E if F is None else F
-    f32 = F is not None
-    cols = np.ascontiguousarray(A.T) if columns else None
+    cols = np.ascontiguousarray(A.T) if any(a or b for (a, b), _ in reads) else None
     outer = _OuterSum(n, A.dtype)
     S = np.empty((n, n), A.dtype)
     distinct, at_symmetric = ([((A, cols)[a], (A, cols)[b], pairs) for (a, b), pairs in r]
@@ -310,27 +308,22 @@ def _scan(
         cut = None  # tol.ineq_threshold(d), found at the first failing pre-quadrangle pair
         for a_lines, b_lines, pairs in plan[x]:
             outer(a_lines[x], b_lines[x], S)
-            low = float(subtract(S, A, out=S).min())
-            failing = []
+            low = float(np.subtract(S, A, out=S).min())
+            # The pairs failing at x, by the bound that S falls below where
+            # they fail: -eps_ineq for S, ineq_threshold(d) for S - d(x,x).
+            # Equal bounds share a mask, as both forms do when d(x,x) is zero.
+            groups: dict[float, list[int]] = {}
             for k, self_term in pairs:
                 # Rounding is monotone, so min(fl(s - d)) = fl(min(s) - d).
                 m = low - d if self_term else low
                 if m < mins[k]:
                     mins[k] = m
                 if fails(m):
-                    failing.append(k)
-            if not failing:
-                continue
-            # The pairs failing at x, by the bound that S falls below where
-            # they fail: -eps_ineq for S, ineq_threshold(d) for S - d(x,x).
-            # Equal bounds share a mask, as both forms do when d(x,x) is zero.
-            groups: dict[float, list[int]] = {}
-            for k in failing:
-                if kinds[k][1] and cut is None:
-                    cut = tol.ineq_threshold(d)
-                groups.setdefault(cut if kinds[k][1] else -tol.eps_ineq, []).append(k)
+                    if self_term and cut is None:
+                        cut = tol.ineq_threshold(d)
+                    groups.setdefault(cut if self_term else -tol.eps_ineq, []).append(k)
             for bound, group in groups.items():
-                below = _least_float32_at_or_above(bound) if f32 else bound
+                below = bound if F is None else _least_float32_at_or_above(bound)
                 count = int(np.count_nonzero(np.less(S, below, out=mask)))
                 at = _leading_hits(mask, max(max_witnesses - len(found[k]) for k in group))
                 for k in group:
@@ -347,8 +340,7 @@ def _scan(
         if stop_at_first_failure and all(violations):
             scanned = x + 1
             break
-    checked = scanned * n * n
-    return [_verdict(found[k], mins[k], checked, violations[k]) for k in range(len(kinds))]
+    return [_verdict(found[k], mins[k], scanned * n * n, violations[k]) for k in range(len(kinds))]
 
 
 def check_triangle(
@@ -442,6 +434,8 @@ def check_transition(
 
     The loop over x builds its products with the scans' ``_OuterSum``, in
     float64, and a violation mask only at an x where some triple may fail.
+    Three (n, n) buffers reused across x hold lhs, rhs and the slack rhs - lhs,
+    so rhs is computed once per x, and the mask and witnesses read it after the minimum.
     With e = eps_ineq >= 2**-40, an x where every rhs is >= 0 is skipped when
     its least rounded slack m lies above -e/2, a floor that every failing
     triple's rounded slack is at or below, whatever the magnitude of rhs.
@@ -461,37 +455,32 @@ def check_transition(
     _validate_cap(max_witnesses)
     E = M.entries
     n = M.n
-    labels = M.labels
     if for_log_transform and not bool((E > 0).all()):
         return PropertyVerdict(Status.NOT_APPLICABLE, (), None, 0, 0)
     low, high = float(E.min()), float(E.max())
-    eps = tol.eps_ineq
-    floor = -0.5 * eps if eps >= 2.0**-40 else math.inf
+    floor = -0.5 * tol.eps_ineq if tol.eps_ineq >= 2.0**-40 else math.inf
     min_slack = math.inf
     violations = 0
     witnesses: list[ViolationWitness] = []
-    lhs, rhs = np.empty((2, n, n))
+    lhs, rhs, slack = np.empty((3, n, n))
     mask = np.empty((n, n), dtype=bool)
     outer = _OuterSum(n, product=True)
     for x in range(n):
         d = float(E[x, x])
         outer(E[:, x], E[x], lhs)  # s(y,x) * s(x,z)
         np.multiply(E, d, out=rhs)  # s(y,z) * s(x,x)
-        m = float(np.subtract(rhs, lhs, out=rhs).min())
+        m = float(np.subtract(rhs, lhs, out=slack).min())
         if m < min_slack:
             min_slack = m
         if m > floor and not (d > 0 > low or d < 0 < high):  # and every rhs >= 0
             continue
-        np.multiply(E, d, out=rhs)  # rhs held the slack; the witnesses need rhs itself
         hits = int(np.count_nonzero(tol.transition_fails(lhs, rhs, out=mask)))
         if hits == 0:
             continue
         violations += hits
-        for y, z in _leading_hits(mask, max_witnesses - len(witnesses)):
-            witnesses.append(
-                ViolationWitness(labels[x], labels[y], labels[z], float(lhs[y, z]),
-                                 float(rhs[y, z]), float(lhs[y, z] - rhs[y, z]))
-            )
+        witnesses += [ViolationWitness(M.labels[x], M.labels[y], M.labels[z], float(lhs[y, z]),
+                                       float(rhs[y, z]), -float(slack[y, z]))
+                      for y, z in _leading_hits(mask, max_witnesses - len(witnesses))]
     return _verdict(witnesses, min_slack, n**3, violations)
 
 
@@ -515,20 +504,22 @@ def diagonal_bounds(
     and (x, y, x) give d(x,x) >= d(x,z) - b_x[z] and d(x,x) >= d(y,x) - a_x[y];
     the triples (w, x, x) give d(x,x) <= a_w[x] + b_w[x]. No bound is -0.0:
     each is reported as v + 0.0, as verdict floats are.
+
+    A bound that leaves the float range, as sums of entries near +-1e308 may,
+    is reported as +inf or -inf, and emptiness and membership are judged on it.
     """
     ty = InequalityType.parse(ty)
     E = M.entries
     diag = np.diagonal(E)
     A, B = (E.T if c else E for c in _READS_COLUMN[ty])
-    lo = np.maximum((E - B).max(axis=1), (E.T - A).max(axis=1)) + 0.0
-    hi = (A + B).min(axis=0) + 0.0
-    out = []
-    for i, label in enumerate(M.labels):
-        # Interval.contains widens [lo, hi] by eps_eq: nonempty when it holds lo.
-        bounds = Interval(float(lo[i]), float(hi[i]), nonempty=True)
-        interval = Interval(bounds.lo, bounds.hi, bounds.contains(bounds.lo, tol.eps_eq))
-        out.append((label, interval, interval.contains(float(diag[i]), tol.eps_eq)))
-    return out
+    with np.errstate(over="ignore"):  # a bound, or a bound widened by eps_eq, may be +-inf
+        lo = np.maximum((E - B).max(axis=1), (E.T - A).max(axis=1)) + 0.0
+        hi = (A + B).min(axis=0) + 0.0
+        # Interval.contains widens [lo, hi] by eps_eq; it holds lo when lo <= hi + eps_eq.
+        nonempty = lo <= hi + tol.eps_eq
+        member = (lo - tol.eps_eq <= diag) & (diag <= hi + tol.eps_eq)
+    return [(label, Interval(a, b, e), m) for label, a, b, e, m
+            in zip(M.labels, lo.tolist(), hi.tolist(), nonempty.tolist(), member.tolist())]
 
 
 def first_violation(verdict: PropertyVerdict) -> ViolationWitness | None:

@@ -261,9 +261,9 @@ def perturb_violation(
     left side (those degenerate triples hold identically and cannot be
     broken this way) and takes one with minimum slack, preferring an
     off-diagonal target entry among exact ties, then row-major order. Its
-    p(y,z) is raised by slack + magnitude. The returned matrix fails
-    check_prequadrangle for ty with a deficit of about magnitude; other
-    types may or may not fail.
+    p(y,z) is raised by slack + magnitude, or an InputError is raised if
+    that leaves the float range. The returned matrix fails check_prequadrangle
+    for ty with a deficit of about magnitude; other types may or may not fail.
 
     A matrix that already fails the check is refused from the same pass:
     rounding is monotone, so the least slack of the whole slab at x is the
@@ -288,31 +288,37 @@ def perturb_violation(
     a_col, b_col = _READS_COLUMN[ty]
     outer, slack = _OuterSum(n), np.empty((n, n))
     best = []  # per x: (slack, target-is-diagonal, x, y, z) of its first best triple
-    for x in range(n):
-        outer(E[:, x] if a_col else E[x], E[:, x] if b_col else E[x], slack)
-        np.subtract(np.subtract(slack, E, out=slack), E[x, x], out=slack)
-        if tol.ineq_fails(float(slack.min())):
-            verdict = check_prequadrangle(M, ty, tol, max_witnesses=1, stop_at_first_failure=True)
-            w = first_violation(verdict)
-            raise PreconditionError(
-                f"matrix already fails the type-{ty.value} pre-quadrangle check at "
-                f"(x={w.x!r}, y={w.y!r}, z={w.z!r})",
-                witness=w,
-            )
-        # Raising p(y,z) raises the right side only, unless (y,z) is also a
-        # left-side slot; the inequality then holds identically. Such slots are
-        # a[y] = d(y,x) at z = x, b[z] = d(x,z) at y = x, and (x, x). As NaN
-        # they take no part in the minimum or its ties, even beside a +inf.
-        if a_col:
-            slack[:, x] = np.nan
-        if not b_col:
-            slack[x] = np.nan
-        slack[x, x] = np.nan
-        ties = slack == np.fmin.reduce(slack, axis=None)
-        off = ties & off_diagonal
-        y, z = divmod(int(np.argmax(off if off.any() else ties)), n)
-        best.append((float(slack[y, z]), y == z, x, y, z))
+    with np.errstate(over="ignore"):  # a slack beyond the float range is +-inf
+        for x in range(n):
+            outer(E[:, x] if a_col else E[x], E[:, x] if b_col else E[x], slack)
+            np.subtract(np.subtract(slack, E, out=slack), E[x, x], out=slack)
+            if tol.ineq_fails(float(slack.min())):
+                verdict = check_prequadrangle(M, ty, tol, max_witnesses=1,
+                                              stop_at_first_failure=True)
+                w = first_violation(verdict)
+                raise PreconditionError(
+                    f"matrix already fails the type-{ty.value} pre-quadrangle check at "
+                    f"(x={w.x!r}, y={w.y!r}, z={w.z!r})",
+                    witness=w,
+                )
+            # Raising p(y,z) raises the right side only, unless (y,z) is also a
+            # left-side slot; the inequality then holds identically. Such slots are
+            # a[y] = d(y,x) at z = x, b[z] = d(x,z) at y = x, and (x, x). As NaN
+            # they take no part in the minimum or its ties, even beside a +inf.
+            if a_col:
+                slack[:, x] = np.nan
+            if not b_col:
+                slack[x] = np.nan
+            slack[x, x] = np.nan
+            ties = slack == np.fmin.reduce(slack, axis=None)
+            off = ties & off_diagonal
+            y, z = divmod(int(np.argmax(off if off.any() else ties)), n)
+            best.append((float(slack[y, z]), y == z, x, y, z))
     s, _, x, y, z = min(best)
+    raised = float(E[y, z]) + (s + magnitude)
+    if not np.isfinite(raised):
+        raise InputError(f"raising p({M.labels[y]!r},{M.labels[z]!r}) by its slack plus "
+                         f"magnitude {magnitude!r} leaves the float range")
     out = np.array(E, copy=True)
-    out[y, z] += s + magnitude
+    out[y, z] = raised
     return LabeledMatrix(M.labels, out)

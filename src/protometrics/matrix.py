@@ -137,9 +137,10 @@ class LabeledMatrix:
         for lbl in labels:
             if not isinstance(lbl, str) or lbl == "":
                 raise InvalidMatrixError(f"labels must be nonempty strings, got {lbl!r}")
-        if len(set(labels)) != len(labels):
-            dup = next(l for i, l in enumerate(labels) if l in labels[:i])
-            raise InvalidMatrixError(f"duplicate label {dup!r}")
+        index: dict[str, int] = {}
+        for i, lbl in enumerate(labels):
+            if index.setdefault(lbl, i) != i:
+                raise InvalidMatrixError(f"duplicate label {lbl!r}")
         try:
             arr = np.array(entries, dtype=np.float64, copy=True, order="C")
         except (TypeError, ValueError) as exc:
@@ -150,15 +151,16 @@ class LabeledMatrix:
             raise InvalidMatrixError(
                 f"{len(labels)} labels but a {arr.shape[0]}x{arr.shape[1]} matrix"
             )
-        if not np.isfinite(arr).all():
-            i, j = map(int, np.argwhere(~np.isfinite(arr))[0])
+        finite = np.isfinite(arr)
+        if not finite.all():
+            i, j = divmod(int(np.argmin(finite)), len(labels))
             raise InvalidMatrixError(
                 f"non-finite entry {float(arr[i, j])!r} at ({labels[i]!r}, {labels[j]!r})"
             )
         arr.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "_index", {l: i for i, l in enumerate(labels)})
+        object.__setattr__(self, "_index", index)
 
     def __setattr__(self, name, value):
         raise AttributeError("LabeledMatrix is immutable")

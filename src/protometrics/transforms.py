@@ -81,12 +81,12 @@ def _gauge_vector(M: LabeledMatrix, f: Mapping[str, float], what: str) -> np.nda
     missing = [l for l in M.labels if l not in f]
     if missing:
         raise InputError(f"{what} is missing a value for label {missing[0]!r}")
-    extra = [l for l in f if l not in M.labels]
-    if extra:
-        raise InputError(f"{what} has a value for unknown label {extra[0]!r}")
+    if len(f) > M.n:  # every label has a value, so some key is not a label
+        extra = next(l for l in f if l not in M.labels)
+        raise InputError(f"{what} has a value for unknown label {extra!r}")
     vec = np.array([_real_number(f"{what} at label {l!r}", f[l]) for l in M.labels])
     if not np.isfinite(vec).all():
-        bad = M.labels[int(np.flatnonzero(~np.isfinite(vec))[0])]
+        bad = M.labels[int(np.argmax(~np.isfinite(vec)))]
         raise InputError(f"{what} has a non-finite value at label {bad!r}")
     return vec
 
@@ -216,7 +216,7 @@ def zero_coordinates(
     resid = E - (a[:, None] + b[None, :])
     bad = tol.eq_fails(resid)
     if bool(bad.any()):
-        i, j = map(int, np.argwhere(bad)[0])
+        i, j = divmod(int(np.argmax(bad)), p.n)
         raise PreconditionError(
             "zero_coordinates: entries are not separable as a(x) + b(y); "
             f"residual {abs(float(resid[i, j]))!r} at ({labels[i]!r}, {labels[j]!r})"
@@ -263,8 +263,8 @@ def specialization_preorder(
     reach2 = (step @ step) > 0
     broken = reach2 & ~rel
     if bool(broken.any()):
-        x, z = map(int, np.argwhere(broken)[0])
-        y = int(np.flatnonzero(rel[x, :] & rel[:, z])[0])
+        x, z = divmod(int(np.argmax(broken)), n)
+        y = int(np.argmax(rel[x, :] & rel[:, z]))
         raise TransitivityError(
             "thresholded relation is not transitive: "
             f"{labels[x]!r} <= {labels[y]!r} <= {labels[z]!r} but "
@@ -352,7 +352,7 @@ def log_transform(s: LabeledMatrix) -> LabeledMatrix:
     """
     E = s.entries
     if not bool((E > 0).all()):
-        i, j = map(int, np.argwhere(~(E > 0))[0])
+        i, j = divmod(int(np.argmax(~(E > 0))), s.n)
         raise PreconditionError(
             f"log transform needs strictly positive entries, but "
             f"s({s.labels[i]!r},{s.labels[j]!r}) = {float(E[i, j])!r}"

@@ -325,10 +325,11 @@ EDGE_VALUES = [0.0, -0.0, 1.0, -1.0, 2.0, 1e308, -1e308, 1.7e308, 5e-324, -5e-32
 @given(st.integers(1, 4).flatmap(lambda n: st.lists(
     st.lists(st.sampled_from(EDGE_VALUES) | st.floats(-3, 3), min_size=n, max_size=n),
     min_size=n, max_size=n)), st.sampled_from("oitc"))
+@example([[0.0, 1e308], [-1e308, 0.0]], "o")  # the bounds [0, -inf] and [inf, 0]
+@example([[1.7e308, -1e308], [1e308, 0.0]], "t")
 def test_diagonal_bounds_match_oracle(rows, ty):
     m = lm(rows)
-    with np.errstate(over="ignore"):  # sums of +-1e308 may overflow, here to a bound of +-inf
-        got = diagonal_bounds(m, ty)
+    got = diagonal_bounds(m, ty)  # with no warning where sums of +-1e308 overflow to +-inf
     want = diagonal_bounds_scan(m.entries.tolist(), ty)
     for (x, iv, member), (lo, hi), k in zip(got, want, range(m.n)):
         assert (x, iv.lo, iv.hi) == (m.labels[k], lo, hi)

@@ -170,6 +170,12 @@ def test_check_selector_validation(cli):
     code, _, err = cli(["check", "triangle:t", "--for-log"], stdin=PATH_CSV)
     assert code == 2
     assert "--for-log only applies" in err
+    # The refusal lists exactly the ops that take the flag.
+    code, _, err = cli(["transform", "gauge", "--base-label", "x1", "--alpha", "1"],
+                       stdin=PATH_CSV)
+    assert code == 2
+    assert err.rstrip().endswith(
+        "--base-label only applies to transform gromov, farris, minfarris")
 
 
 def test_transform_transpose_keeps_input_format(cli):

@@ -327,6 +327,35 @@ def test_perturb_matches_the_reference_loop(n, seed, ty, magnitude):
     assert perturb_violation(p, ty, magnitude).entries.tobytes() == want.tobytes()
 
 
+# A slack may lie below 0 by up to eps_ineq. Here the least slack, -2**-30,
+# is reached by a diagonal target at one centre and by an off-diagonal target
+# only at another, so the off-diagonal preference decides across centres.
+TIE = 2.0**-31
+
+
+@pytest.mark.parametrize("ty, rows, target", [
+    ("t", [[TIE, 0, TIE], [1 - TIE, 1, 1], [0, -TIE, 0]], (2, 0)),
+    ("c", [[0, 2, 0], [2, 2 + TIE, 2], [-TIE, 2 + TIE, TIE]], (0, 1)),
+    ("o", [[-TIE, 2, -TIE], [2 - TIE, 1 - TIE, 2 - TIE], [-TIE, 2, TIE]], (0, 1)),
+    ("i", [[1 + TIE, 2 - TIE, 1], [2, 0, 2], [1, 2, 1]], (1, 2)),
+])
+def test_perturb_prefers_an_off_diagonal_target_across_centres(ty, rows, target):
+    m = lm(rows)
+    assert check_prequadrangle(m, ty).status is Status.PASS
+    *_, y, z = perturb_target(rows, ty)
+    assert (y, z) == target
+    q = perturb_violation(m, ty, 1.0)
+    assert np.argwhere(q.entries != m.entries).tolist() == [list(target)]
+
+
+def test_perturb_refuses_a_target_raised_beyond_the_float_range():
+    # Every free slack overflows to +inf, so no finite raise exists.
+    m = LabeledMatrix(("a", "b"), [[0.0, 1e308], [1e308, 0.0]])
+    with pytest.raises(InputError, match=r"^raising p\('b','b'\) by its slack plus magnitude "
+                                         r"1.0 leaves the float range$"):
+        perturb_violation(m, "t", 1.0)
+
+
 def test_perturb_skips_the_diagonal_slot_of_the_centre():
     # For type c the only slot on both sides is (x, x), at y = z = x. Its
     # slack is exactly 0, below the rounding residue 2**-54 of p(x1, x2), but

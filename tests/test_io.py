@@ -20,6 +20,7 @@ from protometrics import (
     serialize_matrix,
     serialize_report,
 )
+from protometrics import io as io_module
 from protometrics.io import parse_decomposition, serialize_verdict
 
 HDIFF = [[0.0, -1.0, -3.0], [1.0, 0.0, -2.0], [3.0, 2.0, 0.0]]
@@ -91,6 +92,23 @@ def test_parse_json():
     assert m.entries.tolist() == [[0.0, 1.0], [1.0, 0.0]]
     bare = parse_matrix('{"matrix": [[0.5]]}')
     assert bare.labels == ("x1",)
+
+
+def test_clean_rows_are_converted_whole(monkeypatch):
+    # A row of finite numbers takes no per-cell path, in CSV or JSON.
+    cells = []
+    for name in ("_parse_cell", "_json_float"):
+        real = getattr(io_module, name)
+        monkeypatch.setattr(io_module, name,
+                            lambda *a, real=real, **k: cells.append(a) or real(*a, **k))
+    M = lm(HDIFF, ["a", "b", "c"])
+    for fmt in ("csv", "json"):
+        assert parse_matrix(serialize_matrix(M, fmt)) == M
+    assert parse_matrix("0,1.5\n-2,0\n") == lm([[0.0, 1.5], [-2.0, 0.0]])
+    assert cells == []
+    # A row that is not all finite floats is read cell by cell.
+    parse_matrix('{"matrix": [[0, 1.5], [-2.0, 0.0]]}')
+    assert len(cells) == 2
 
 
 def test_parse_with_explicit_format():

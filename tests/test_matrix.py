@@ -89,6 +89,22 @@ def test_matrix_validation():
         LabeledMatrix(("a", "b"), np.array([[0.0, 1.0], [-math.inf, 0.0]]))
 
 
+def test_matrix_refusals_name_the_first_offender():
+    # The first label met again, in label order, and the first bad entry in
+    # row-major order.
+    zeros = np.zeros((3, 3))
+    with pytest.raises(InvalidMatrixError, match=r"^duplicate label 'b'$"):
+        LabeledMatrix(("a", "b", "b"), zeros)
+    with pytest.raises(InvalidMatrixError, match=r"^duplicate label 'b'$"):
+        LabeledMatrix(("a", "b", "b", "a"), np.zeros((4, 4)))
+    with pytest.raises(InvalidMatrixError, match=r"^duplicate label 'a'$"):
+        LabeledMatrix(("a", "b", "a", "b"), np.zeros((4, 4)))
+    bad = zeros.copy()
+    bad[2, 0], bad[1, 2], bad[2, 1] = math.inf, math.nan, -math.inf
+    with pytest.raises(InvalidMatrixError, match=r"non-finite entry nan at \('b', 'c'\)$"):
+        LabeledMatrix(("a", "b", "c"), bad)
+
+
 def test_matrix_unknown_label():
     m = lm([[0.0]])
     with pytest.raises(InputError, match="not a point"):
@@ -233,6 +249,8 @@ def test_interval():
     assert not iv.contains(0.5, 1e-9)
     assert not iv.contains(2.1, 1e-2)
     assert iv.contains(2.1, 0.1 + 1e-12)
+    # Both ends of the widened interval belong to it; these sums are exact.
+    assert iv.contains(0.5, 0.5) and iv.contains(2.5, 0.5)
 
 
 @given(st.integers(1, 5), st.integers(0, 10_000))

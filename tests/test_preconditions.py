@@ -1,6 +1,7 @@
 """Transform preconditions agree with the classify flags they need."""
 
 import io
+import math
 import sys
 import types
 
@@ -36,6 +37,8 @@ from protometrics import (
     zero_coordinates,
 )
 from protometrics.cli import main
+
+from oracles import additive_scan
 
 # Within eps_ineq = 1e-3 of nonnegative, with distinct points at nonzero distance.
 NEAR_METRIC = LabeledMatrix(
@@ -221,11 +224,89 @@ def test_a_passing_transition_check_skips_its_masks_only_above_its_floor(monkeyp
     # 2**-|x - y| passes exactly: every product is a power of two.
     s = LabeledMatrix(auto_labels(n), [[2.0 ** -abs(x - y) for y in range(n)] for x in range(n)])
     masks = count_calls(monkeypatch, "count_nonzero")
-    assert checks.check_transition(s).status is Status.PASS
-    assert masks == []
-    # At eps_ineq = 0 no floor applies, so every x builds its mask.
-    assert checks.check_transition(s, ToleranceConfig(eps_ineq=0.0)).status is Status.PASS
-    assert len(masks) == n
+    searches = []
+    real = checks._leading_hits
+    monkeypatch.setattr(checks, "_leading_hits",
+                        lambda mask, room: searches.append(room) or real(mask, room))
+
+    def built(M, eps_ineq=1e-9):
+        masks.clear()
+        assert checks.check_transition(M, ToleranceConfig(eps_ineq=eps_ineq)).status is Status.PASS
+        return len(masks)
+
+    assert built(s) == 0
+    # At eps_ineq = 0 no floor applies, so every x builds its mask. The floor
+    # applies from eps_ineq = 2**-40 up.
+    assert built(s, 0.0) == n
+    assert built(s, 2.0**-40) == 0
+    assert built(s, math.nextafter(2.0**-40, 0.0)) == n
+    # A least slack exactly at the floor -eps_ineq/2 is not above it: with
+    # c = 1 - 2**-31, both x have the slack c - 1 = -2**-31 at eps_ineq = 2**-30.
+    c = 1.0 - 2.0**-31
+    assert built(LabeledMatrix(auto_labels(2), [[1.0, 1.0], [1.0, c]]), 2.0**-30) == 2
+    # Only a strict sign makes an x signed. Each x below has a least slack of
+    # 0 and every rhs >= 0: x1 has d(x,x) = 0 beside a negative or a positive
+    # entry, x2 a negative d(x,x) beside a greatest entry of 0 or a positive
+    # d(x,x) beside a least entry of 0.
+    assert built(LabeledMatrix(auto_labels(2), [[0.0, 0.0], [0.0, -1.0]])) == 0
+    assert built(LabeledMatrix(auto_labels(2), [[0.0, 0.0], [0.0, 1.0]])) == 0
+    # A signed x, d(x,x) > 0 beside a negative entry, builds its mask; none
+    # holds, so no witness search runs.
+    assert built(LabeledMatrix(auto_labels(2), [[1.0, -1.0], [-1.0, 1.0]])) == 2
+    assert searches == []
+
+
+def test_a_failing_scan_finds_each_threshold_once_per_failing_point(monkeypatch):
+    # The pre-quadrangle threshold of an x is found at its first failing
+    # pre-quadrangle pair and reused by the others; a triangle check needs none.
+    n = 6
+    E = np.random.default_rng(3).random((n, n))
+    np.fill_diagonal(E, np.arange(1, n + 1) / 4)  # distinct, so d(x,x) names x
+    M = LabeledMatrix(auto_labels(n), E)
+    failing = [{x for x, _, _ in additive_scan(E.tolist(), ty, True)[0]} for ty in "oitc"]
+    per_point = [sum(x in f for f in failing) for x in range(n)]
+    assert max(per_point) > 1  # some x fails for more than one type
+    found = []
+    real = ToleranceConfig.ineq_threshold
+    monkeypatch.setattr(ToleranceConfig, "ineq_threshold",
+                        lambda self, d: found.append(d) or real(self, d))
+    classify(M)
+    assert found == [E[x, x] for x in range(n) if per_point[x]]
+    found.clear()
+    assert checks.check_triangle(M, "o").status is Status.FAIL
+    assert found == []
+
+
+def test_the_float32_certificate_refuses_an_off_grid_row_0_before_its_grid_pass(monkeypatch):
+    # 0.1 is not a float32. In row 0 it refuses E before the n**2 snap, one np.add.
+    snaps = count_calls(monkeypatch, "add")
+    E = np.zeros((4, 4))
+    E[0, 1] = 0.1
+    assert checks._exact_float32(E) is None
+    assert snaps == []
+    assert checks._exact_float32(E.T.copy()) is None
+    assert len(snaps) == 1
+
+
+def test_a_scan_compares_rows_with_columns_only_for_more_than_one_type(monkeypatch):
+    # The row-column comparison, an n**2 pass, finds where two types may share
+    # a slab; a scan of one type has nothing to share.
+    compared = []
+
+    class Spy(np.ndarray):
+        def __eq__(self, other):
+            compared.append(1)
+            return np.asarray(self) == other
+
+    real = checks._exact_float32
+    monkeypatch.setattr(checks, "_exact_float32", lambda E: real(E).view(Spy))
+    M = LabeledMatrix(auto_labels(4), np.arange(16.0).reshape(4, 4))  # certified
+    for ty in "oitc":
+        checks.check_triangle(M, ty)
+        checks.check_prequadrangle(M, ty)
+    assert compared == []
+    classify(M)
+    assert len(compared) == 1
 
 
 def test_guarded_transforms_scan_at_most_once(scans):

@@ -141,7 +141,7 @@ def test_affine_gauge_rejects_bad_inputs():
             affine_gauge(p, alpha, {"x1": 0.0, "x2": 0.0})
     with pytest.raises(InputError, match="missing a value"):
         affine_gauge(p, 1.0, {"x1": 0.0})
-    with pytest.raises(InputError, match="unknown label"):
+    with pytest.raises(InputError, match="unknown label 'zz'$"):
         affine_gauge(p, 1.0, {"x1": 0.0, "x2": 0.0, "zz": 0.0})
     # The gauge is refused before the result, which would name a matrix entry.
     with pytest.raises(InputError, match="gauge f has a non-finite value at label 'x2'"):

@@ -1,7 +1,13 @@
-"""Statement-deletion mutants: which statements of the package can go without a test failing?
+"""Statement and operator mutants: which statements and operators can change with no test failing?
 
-Each statement inside a function or class body of the given modules is
-replaced in turn by ``pass`` (docstrings and ``pass`` itself excepted).
+Two kinds of mutant are made of the given modules. A statement mutant
+replaces one statement inside a function or class body by ``pass``
+(docstrings and ``pass`` itself excepted). An operator mutant swaps one
+comparison operator (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``,
+``is`` and ``is not``, ``in`` and ``not in``) or one boolean operator
+(``and`` and ``or``) anywhere in the module; the expression is written back
+from its syntax tree, and a mutant whose text does not parse to exactly the
+swapped tree is not made.
 Each mutant runs in a worker copy of the tree, ``src/`` and ``tests/`` and
 ``pyproject.toml``, against the given test modules with ``pytest -x``,
 the mutated module's own ``tests/test_<module>.py`` first, under a
@@ -16,8 +22,8 @@ test modules after ``--`` every ``tests/test_*.py`` runs. The tree must
 pass its tests unmutated, which is checked first. Only the standard library
 is used. Every pytest run is started in a process group of its own and the
 group is killed on a timeout or an interrupt, so no process outlives the
-script. The output lists each survivor with an empty ``outcome`` and
-``reason`` for a reader to fill in.
+script. The output lists each survivor, with its kind and mutation, and
+with an empty ``outcome`` and ``reason`` for a reader to fill in.
 """
 
 from __future__ import annotations
@@ -63,26 +69,69 @@ def _statements(tree: ast.Module):
     yield from walk(tree.body, False)
 
 
+# Each swapped operator, and how it is written.
+SWAPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+         ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,
+         ast.In: ast.NotIn, ast.NotIn: ast.In, ast.And: ast.Or, ast.Or: ast.And}
+SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
+           ast.NotEq: "!=", ast.Is: "is", ast.IsNot: "is not", ast.In: "in",
+           ast.NotIn: "not in", ast.And: "and", ast.Or: "or"}
+
+
+def _operators(tree: ast.Module):
+    """Each (node, k, op) of a swappable operator: node.ops[k] of a comparison, or node.op."""
+    for node in ast.walk(tree):
+        ops = [node.op] if isinstance(node, ast.BoolOp) else getattr(node, "ops", [])
+        for k, op in enumerate(ops):
+            if type(op) in SWAPS:
+                yield node, k, op
+
+
+def _set(node: ast.AST, k: int, op: ast.AST) -> None:
+    if isinstance(node, ast.BoolOp):
+        node.op = op
+    else:
+        node.ops[k] = op
+
+
 def mutants(path: Path) -> list[dict]:
-    """The mutants of one module: its text with one statement replaced by ``pass``."""
+    """The mutants of one module: its text with one statement replaced by ``pass``,
+    or with one operator swapped."""
     text = path.read_text()
     lines = text.splitlines(keepends=True)
     starts = [0]
     for line in lines:
         starts.append(starts[-1] + len(line))
+    # ast gives columns in UTF-8 bytes; the slices below count characters.
+    chars = lambda k, col: starts[k - 1] + len(lines[k - 1].encode()[:col].decode())
+    module = str(path.resolve().relative_to(ROOT))
+    tree = ast.parse(text)
     out = []
-    for node in _statements(ast.parse(text)):
+    for node in _statements(tree):
         # A decorated definition starts at its first decorator, at the same indent.
         first = min([node.lineno] + [d.lineno for d in getattr(node, "decorator_list", [])])
-        # ast gives columns in UTF-8 bytes; the slices below count characters.
-        chars = lambda k, col: starts[k - 1] + len(lines[k - 1].encode()[:col].decode())
         begin, end = chars(first, node.col_offset), chars(node.end_lineno, node.end_col_offset)
-        out.append({
-            "module": str(path.resolve().relative_to(ROOT)),
-            "line": node.lineno,
-            "statement": lines[node.lineno - 1].strip(),
-            "text": text[:begin] + "pass" + text[end:],
-        })
+        out.append({"module": module, "line": node.lineno, "kind": "statement",
+                    "statement": lines[node.lineno - 1].strip(), "mutation": "pass",
+                    "text": text[:begin] + "pass" + text[end:]})
+    for node, k, op in _operators(tree):
+        swap, chain = SWAPS[type(op)], len(getattr(node, "ops", ()))
+        where = f" (operator {k + 1} of {chain})" if chain > 1 else ""
+        mutation = f"{SYMBOLS[type(op)]} -> {SYMBOLS[swap]}{where} in {ast.unparse(node)}"
+        _set(node, k, swap())
+        want, expression = ast.dump(tree), ast.unparse(node)
+        _set(node, k, op)
+        begin = chars(node.lineno, node.col_offset)
+        end = chars(node.end_lineno, node.end_col_offset)
+        mutant = text[:begin] + "(" + expression + ")" + text[end:]
+        try:
+            if ast.dump(ast.parse(mutant)) != want:  # the text must be the swapped tree
+                continue
+        except SyntaxError:
+            continue
+        out.append({"module": module, "line": node.lineno, "kind": "operator",
+                    "statement": lines[node.lineno - 1].strip(), "mutation": mutation,
+                    "text": mutant})
     return out
 
 
@@ -172,8 +221,8 @@ def main(argv: list[str] | None = None) -> int:
             for k, r in enumerate(pool.map(run, todo), 1):
                 results.append(r)
                 if r["result"] == "passed":
-                    print(f"[{k}/{len(todo)}] survived {r['module']}:{r['line']} {r['statement']}",
-                          flush=True)
+                    print(f"[{k}/{len(todo)}] survived {r['module']}:{r['line']} {r['statement']}"
+                          f" [{r['mutation']}]", flush=True)
         finally:  # on an interrupt too: start no further mutant and end the running ones
             pool.shutdown(wait=False, cancel_futures=True)
             for proc in list(running):
@@ -185,13 +234,17 @@ def main(argv: list[str] | None = None) -> int:
         "command": command,
         "tests": tests,
         "mutants": len(results),
+        "by_kind": {kind: {"mutants": sum(r["kind"] == kind for r in results),
+                           "survived": sum(r["kind"] == kind and r["result"] == "passed"
+                                           for r in results)}
+                    for kind in ("statement", "operator")},
         "killed": count["failed"] + count["timeout"],
         "timeouts": count["timeout"],
         "survived": count["passed"],
         "minutes": round((time.monotonic() - started) / 60, 1),
         "survivors": [
-            {"module": r["module"], "line": r["line"], "statement": r["statement"],
-             "outcome": "", "reason": ""}
+            {"module": r["module"], "line": r["line"], "kind": r["kind"],
+             "statement": r["statement"], "mutation": r["mutation"], "outcome": "", "reason": ""}
             for r in results if r["result"] == "passed"
         ],
     }
