@@ -41,7 +41,7 @@ Two rules build each distinct slab once:
   of fl(s - d(x,x)) is exactly fl(min s - d(x,x)), which tells whether any
   entry fails, and fl(s - d(x,x)) fails exactly where s lies below
   ``ToleranceConfig.ineq_threshold(d(x,x))``. The triangle forms fail below
-  -eps_ineq, which is also that bound for a zero d(x, x).
+  ineq_threshold(0), found once per scan, as does a zero d(x, x).
 
 Only when a pair fails is the violation mask filled, in one reused buffer,
 once per distinct bound for all the failing pairs of the slab. Witnesses
@@ -200,8 +200,8 @@ def _least_float32_at_or_above(bound: float) -> np.float32:
     A float32 slab S has S < bound exactly where S < this value. It is found
     by comparing Python floats: numpy would round the bound to the nearest
     float32, which can lie below it. A float32 slab is compared only with a
-    bound that some entry falls below and that is -eps_ineq or at most
-    d(x, x), so the bound lies within [-3 * 2**100, 2**100].
+    bound that some entry falls below and that is ineq_threshold(0) or at
+    most d(x, x), so the bound lies within [-3 * 2**100, 2**100].
     """
     v = np.float32(bound)
     return v if float(v) >= bound else np.nextafter(v, np.float32(math.inf))
@@ -285,6 +285,7 @@ def _scan(
     every = [(reads[0][0], [(k, self_term) for k, (_, self_term) in enumerate(kinds)])]
     diag = E.diagonal().tolist()
     fails = tol.ineq_fails
+    flat = tol.ineq_threshold(0.0)  # the triangle forms' bound
     mins = [math.inf] * len(kinds)
     violations = [0] * len(kinds)
     found: list[list[ViolationWitness]] = [[] for _ in kinds]
@@ -310,18 +311,17 @@ def _scan(
             outer(a_lines[x], b_lines[x], S)
             low = float(np.subtract(S, A, out=S).min())
             # The pairs failing at x, by the bound that S falls below where
-            # they fail: -eps_ineq for S, ineq_threshold(d) for S - d(x,x).
+            # they fail: ineq_threshold(0) for S, ineq_threshold(d) for S - d(x,x).
             # Equal bounds share a mask, as both forms do when d(x,x) is zero.
             groups: dict[float, list[int]] = {}
             for k, self_term in pairs:
                 # Rounding is monotone, so min(fl(s - d)) = fl(min(s) - d).
                 m = low - d if self_term else low
-                if m < mins[k]:
-                    mins[k] = m
+                mins[k] = min(mins[k], m)
                 if fails(m):
                     if self_term and cut is None:
                         cut = tol.ineq_threshold(d)
-                    groups.setdefault(cut if self_term else -tol.eps_ineq, []).append(k)
+                    groups.setdefault(cut if self_term else flat, []).append(k)
             for bound, group in groups.items():
                 below = bound if F is None else _least_float32_at_or_above(bound)
                 count = int(np.count_nonzero(np.less(S, below, out=mask)))
@@ -433,9 +433,9 @@ def check_transition(
     test is undefined there.
 
     The loop over x builds its products with the scans' ``_OuterSum``, in
-    float64, and a violation mask only at an x where some triple may fail.
-    Three (n, n) buffers reused across x hold lhs, rhs and the slack rhs - lhs,
-    so rhs is computed once per x, and the mask and witnesses read it after the minimum.
+    float64, into two (n, n) buffers reused across x: lhs, and rhs made into
+    the slack rhs - lhs in place. Only an x where some triple may fail makes
+    rhs again, for a violation mask and witnesses.
     With e = eps_ineq >= 2**-40, an x where every rhs is >= 0 is skipped when
     its least rounded slack m lies above -e/2, a floor that every failing
     triple's rounded slack is at or below, whatever the magnitude of rhs.
@@ -462,25 +462,25 @@ def check_transition(
     min_slack = math.inf
     violations = 0
     witnesses: list[ViolationWitness] = []
-    lhs, rhs, slack = np.empty((3, n, n))
+    lhs, work = np.empty((2, n, n))
     mask = np.empty((n, n), dtype=bool)
     outer = _OuterSum(n, product=True)
     for x in range(n):
         d = float(E[x, x])
         outer(E[:, x], E[x], lhs)  # s(y,x) * s(x,z)
-        np.multiply(E, d, out=rhs)  # s(y,z) * s(x,x)
-        m = float(np.subtract(rhs, lhs, out=slack).min())
-        if m < min_slack:
-            min_slack = m
+        np.multiply(E, d, out=work)  # s(y,z) * s(x,x)
+        m = float(np.subtract(work, lhs, out=work).min())
+        min_slack = min(min_slack, m)
         if m > floor and not (d > 0 > low or d < 0 < high):  # and every rhs >= 0
             continue
+        rhs = np.multiply(E, d, out=work)  # again, for the mask and witnesses
         hits = int(np.count_nonzero(tol.transition_fails(lhs, rhs, out=mask)))
         if hits == 0:
             continue
         violations += hits
-        witnesses += [ViolationWitness(M.labels[x], M.labels[y], M.labels[z], float(lhs[y, z]),
-                                       float(rhs[y, z]), -float(slack[y, z]))
-                      for y, z in _leading_hits(mask, max_witnesses - len(witnesses))]
+        for y, z in _leading_hits(mask, max_witnesses - len(witnesses)):
+            l, r = float(lhs[y, z]), float(rhs[y, z])
+            witnesses.append(ViolationWitness(M.labels[x], M.labels[y], M.labels[z], l, r, l - r))
     return _verdict(witnesses, min_slack, n**3, violations)
 
 
@@ -493,10 +493,10 @@ def diagonal_bounds(
 
     For each point x the returned interval is the set of values d(x,x) may
     take if the type-ty triangle inequality is to hold on the triples that
-    pin the diagonal; membership of the actual d(x,x) is judged with eps_eq
-    slack. The extrema run over every y, including y = x. For arbitrary
-    input an empty interval or a non-member diagonal is reported, never
-    raised.
+    pin the diagonal. It is nonempty, and d(x,x) a member, unless
+    ``ToleranceConfig.interval_fails`` fails lo, or d(x,x), on [lo, hi]. The
+    extrema run over every y, including y = x. For arbitrary input an empty
+    interval or a non-member diagonal is reported, never raised.
 
     The bounds come from the operand table: A and B are E.T or E as
     ``_READS_COLUMN`` says, so that row w of A and of B holds a and b at the
@@ -512,12 +512,10 @@ def diagonal_bounds(
     E = M.entries
     diag = np.diagonal(E)
     A, B = (E.T if c else E for c in _READS_COLUMN[ty])
-    with np.errstate(over="ignore"):  # a bound, or a bound widened by eps_eq, may be +-inf
+    with np.errstate(over="ignore"):  # a bound may be +-inf
         lo = np.maximum((E - B).max(axis=1), (E.T - A).max(axis=1)) + 0.0
         hi = (A + B).min(axis=0) + 0.0
-        # Interval.contains widens [lo, hi] by eps_eq; it holds lo when lo <= hi + eps_eq.
-        nonempty = lo <= hi + tol.eps_eq
-        member = (lo - tol.eps_eq <= diag) & (diag <= hi + tol.eps_eq)
+    nonempty, member = (~tol.interval_fails(v, lo, hi) for v in (lo, diag))
     return [(label, Interval(a, b, e), m) for label, a, b, e, m
             in zip(M.labels, lo.tolist(), hi.tolist(), nonempty.tolist(), member.tolist())]
 

@@ -178,9 +178,7 @@ def _closed(rng: SplitMix64, n: int, scale: float, symmetric: bool) -> np.ndarra
         if symmetric:
             E = E + E.T  # the lower triangle is zero, so this mirrors exactly
         E = _closure(E)
-        if n == 1:
-            return E
-        if not DEFAULT_TOLERANCE.strict_fails(float(E[off].min())):
+        if n == 1 or not DEFAULT_TOLERANCE.strict_fails(float(E[off].min())):
             return E
     raise InputError(f"scale {scale!r} is too small to keep distances away from zero")
 

@@ -100,9 +100,16 @@ class ToleranceConfig:
             s = math.nextafter(s, -math.inf)
         return s + 0.0
 
+    def interval_fails(self, value, lo, hi, out=None):
+        """lo <= value <= hi fails unless lo - eps_eq <= value <= hi + eps_eq; a NaN fails."""
+        with np.errstate(over="ignore"):  # an end widened past the float range is +-inf
+            inside = np.less_equal(np.subtract(lo, self.eps_eq), value, out=out)
+            inside &= np.less_equal(value, np.add(hi, self.eps_eq))
+        return np.logical_not(inside, out=out)
+
     def eq_fails(self, delta, out=None):
-        """a = b, with delta a - b, fails unless |delta| <= eps_eq; a NaN fails."""
-        return np.logical_not(np.less_equal(np.abs(delta), self.eps_eq, out=out), out=out)
+        """a = b, with delta a - b, fails unless delta lies in [0, 0] by interval_fails."""
+        return self.interval_fails(delta, 0.0, 0.0, out)
 
     def strict_fails(self, slack, out=None):
         """a > b, with slack a - b, fails unless slack > eps_strict; a NaN fails."""
@@ -201,11 +208,8 @@ class LabeledMatrix:
 
 @dataclass(frozen=True)
 class Interval:
-    """A closed real interval [lo, hi]; nonempty is judged with eps_eq slack."""
+    """A closed real interval [lo, hi]; nonempty when interval_fails(lo, lo, hi) is false."""
 
     lo: float
     hi: float
     nonempty: bool
-
-    def contains(self, value: float, eps: float) -> bool:
-        return self.lo - eps <= value <= self.hi + eps

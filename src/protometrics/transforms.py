@@ -255,8 +255,8 @@ def specialization_preorder(
     n = d.n
     labels = d.labels
     _require(d, tol, "specialization_preorder", "quasi_semi_metric")
-    # One-sided, not eq_fails: x <= y also when d(x,y) < -eps_eq, as eps_ineq allows.
-    rel = E <= tol.eps_eq  # reflexive, since |d(x,x)| <= eps_eq was verified
+    # (-inf, 0], not eq_fails' [0, 0]: x <= y also when d(x,y) < -eps_eq, as eps_ineq allows.
+    rel = ~tol.interval_fails(E, -np.inf, 0.0)  # reflexive: eq_fails(d(x,x)) was false
     # Two-step reachability. The float32 products are 0 or 1, and a sum of
     # nonnegative terms never rounds to 0, so this is exact for any n.
     step = rel.astype(np.float32)

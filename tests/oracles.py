@@ -29,7 +29,11 @@ LHS = {ty: _lhs(slots) for ty, slots in SLOTS.items()}
 
 
 def additive_scan(E, ty, prequad, eps=1e-9):
-    """All violating triples in row-major order, plus the minimum slack."""
+    """All violating triples in row-major order, plus the minimum slack.
+
+    A pre-quadrangle slack is rounded as (lhs - p(y,z)) - p(x,x), the order
+    the checks document, not as lhs - (p(y,z) + p(x,x)).
+    """
     n = len(E)
     lhs = LHS[ty]
     bad = []
@@ -37,8 +41,9 @@ def additive_scan(E, ty, prequad, eps=1e-9):
     for x in range(n):
         for y in range(n):
             for z in range(n):
-                rhs = E[y][z] + (E[x][x] if prequad else 0.0)
-                slack = lhs(E, x, y, z) - rhs
+                slack = lhs(E, x, y, z) - E[y][z]
+                if prequad:
+                    slack -= E[x][x]
                 if min_slack is None or slack < min_slack:
                     min_slack = slack
                 if slack < -eps:

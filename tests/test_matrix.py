@@ -170,12 +170,18 @@ RULES = [
     ("transition_fails", (1.5, 1.0), False),  # 1.0 * 1.25 + 0.25
     ("transition_fails", (1.5625, 1.0), True),
     # A NaN: the additive rule would pass one, which no finite slack produces,
-    # equality and strictness fail it, and the transition rule passes it.
+    # equality, the interval and strictness fail it, and the transition rule passes it.
     ("ineq_fails", (math.nan,), False),
     ("eq_fails", (math.nan,), True),
     ("strict_fails", (math.nan,), True),
     ("transition_fails", (math.nan, 1.0), False),
     ("transition_fails", (1.0, math.nan), False),
+    # The interval [1, 2] widened by eps_eq to [0.5, 2.5].
+    ("interval_fails", (0.5, 1.0, 2.0), False),  # 1.0 - 0.5
+    ("interval_fails", (0.4375, 1.0, 2.0), True),
+    ("interval_fails", (2.5, 1.0, 2.0), False),  # 2.0 + 0.5
+    ("interval_fails", (2.5625, 1.0, 2.0), True),
+    ("interval_fails", (math.nan, 1.0, 2.0), True),
 ]
 
 
@@ -243,14 +249,66 @@ def test_tolerance_rejects(kw):
 
 
 def test_interval():
+    # An Interval holds its bounds; the eps_eq interval rule judges a value on them.
     iv = Interval(lo=1.0, hi=2.0, nonempty=True)
-    assert iv.contains(1.5, 1e-9)
-    assert iv.contains(1.0 - 5e-10, 1e-9)
-    assert not iv.contains(0.5, 1e-9)
-    assert not iv.contains(2.1, 1e-2)
-    assert iv.contains(2.1, 0.1 + 1e-12)
+
+    def holds(value, eps):
+        return not ToleranceConfig(eps_eq=eps).interval_fails(value, iv.lo, iv.hi)
+
+    assert holds(1.5, 1e-9)
+    assert holds(1.0 - 5e-10, 1e-9)
+    assert not holds(0.5, 1e-9)
+    assert not holds(2.1, 1e-2)
+    assert holds(2.1, 0.1 + 1e-12)
     # Both ends of the widened interval belong to it; these sums are exact.
-    assert iv.contains(0.5, 0.5) and iv.contains(2.5, 0.5)
+    assert holds(0.5, 0.5) and holds(2.5, 0.5)
+    assert not holds(math.nextafter(0.5, 0.0), 0.5) and not holds(math.nextafter(2.5, 3.0), 0.5)
+
+
+INF = math.inf
+EXTREME_EPS = [0.0, 5e-324, 1e-9, 1.0, 1e308, float(MAX)]
+EDGES = [s * v for v in (0.0, 5e-324, 1.0, 1e308, INF) for s in (1.0, -1.0)] + [math.nan]
+
+
+def bits(mask):
+    return np.asarray(mask, dtype=bool).tolist()
+
+
+@pytest.mark.parametrize("eps", EXTREME_EPS)
+def test_interval_rule_holds_both_widened_ends(eps):
+    # The plain-Python chain is the rule; Python floats overflow to +-inf silently.
+    tol = ToleranceConfig(eps_eq=eps)
+    values = np.array(EDGES)
+    for lo in EDGES[:-1]:
+        for hi in EDGES[:-1]:
+            want = [not (lo - eps <= v <= hi + eps) for v in EDGES]
+            assert bits(tol.interval_fails(values, lo, hi)) == want, (lo, hi)
+            assert [bool(tol.interval_fails(v, lo, hi)) for v in EDGES] == want
+            # Each widened end belongs to the interval and the float past it does not.
+            for end, past in ((lo - eps, -INF), (hi + eps, INF)):
+                if lo - eps <= hi + eps and math.isfinite(end):
+                    assert not tol.interval_fails(end, lo, hi), (lo, hi, end)
+                    assert tol.interval_fails(math.nextafter(end, past), lo, hi), (lo, hi, end)
+
+
+@pytest.mark.parametrize("eps", EXTREME_EPS)
+def test_equality_rule_is_the_zero_width_interval(eps):
+    tol = ToleranceConfig(eps_eq=eps)
+    values = np.array(EDGES)
+    want = [not abs(v) <= eps for v in EDGES]  # the rule as |delta| <= eps_eq
+    assert bits(tol.eq_fails(values)) == want
+    assert bits(tol.eq_fails(values)) == bits(tol.interval_fails(values, 0.0, 0.0))
+    big = np.resize(values, (30, 30))
+    out = np.empty(big.shape, dtype=bool)
+    assert tol.eq_fails(big, out=out) is out
+    assert bits(out) == bits(~(np.abs(big) <= eps))
+
+
+@pytest.mark.parametrize("eps", [0.0, 5e-324, 2.0**-1022, 2.0**-40, 1e-9, 0.5, 1.0, 3.0,
+                                 1e300, float(MAX)])
+def test_inequality_threshold_at_zero_is_minus_eps(eps):
+    # The triangle forms' bound in the scans; equal as floats, so -0.0 and 0.0 alike.
+    assert ToleranceConfig(eps_ineq=eps).ineq_threshold(0.0) == -eps
 
 
 @given(st.integers(1, 5), st.integers(0, 10_000))

@@ -258,7 +258,8 @@ def test_a_passing_transition_check_skips_its_masks_only_above_its_floor(monkeyp
 
 def test_a_failing_scan_finds_each_threshold_once_per_failing_point(monkeypatch):
     # The pre-quadrangle threshold of an x is found at its first failing
-    # pre-quadrangle pair and reused by the others; a triangle check needs none.
+    # pre-quadrangle pair and reused by the others. The triangle forms' bound,
+    # ineq_threshold(0), is found once per scan, before the first x.
     n = 6
     E = np.random.default_rng(3).random((n, n))
     np.fill_diagonal(E, np.arange(1, n + 1) / 4)  # distinct, so d(x,x) names x
@@ -271,10 +272,10 @@ def test_a_failing_scan_finds_each_threshold_once_per_failing_point(monkeypatch)
     monkeypatch.setattr(ToleranceConfig, "ineq_threshold",
                         lambda self, d: found.append(d) or real(self, d))
     classify(M)
-    assert found == [E[x, x] for x in range(n) if per_point[x]]
+    assert found == [0.0] + [E[x, x] for x in range(n) if per_point[x]]
     found.clear()
     assert checks.check_triangle(M, "o").status is Status.FAIL
-    assert found == []
+    assert found == [0.0]
 
 
 def test_the_float32_certificate_refuses_an_off_grid_row_0_before_its_grid_pass(monkeypatch):
