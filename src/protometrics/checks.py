@@ -379,6 +379,18 @@ def check_prequadrangle(
                  stop_at_first_failure=stop_at_first_failure)[0]
 
 
+def degenerate_pairs(E: np.ndarray, ty: InequalityType | str) -> np.ndarray:
+    """The type-ty pre-quadrangle slack at each degenerate triple (x, y, y), as an (n, n) array.
+
+    Entry (x, y) is (a[y] + b[y]) - (p(x,x) + p(y,y)), a and b read at x as the
+    scans read them (``_READS_COLUMN``). check_strict, the zero_protometric flag
+    (type t), metrize (type t) and decompose (type o, as its d) all read it.
+    """
+    A, B = (E.T if c else E for c in _READS_COLUMN[InequalityType.parse(ty)])
+    diag = np.diagonal(E)
+    return (A + B) - (diag[:, None] + diag[None, :])
+
+
 def check_strict(
     M: LabeledMatrix,
     ty: InequalityType | str,
@@ -388,29 +400,25 @@ def check_strict(
 ) -> PropertyVerdict:
     """Check strictness of the degenerate (z = y, y != x) pre-quadrangle instances.
 
-    For type t this reads p(y,x) + p(x,y) > p(y,y) + p(x,x) for every pair of
-    distinct points; each pair passes unless strict_fails(lhs - rhs), so a
-    NaN slack fails.
-    Witnesses record the failing pair with z = y. With a single point there
-    is nothing to check and the verdict passes vacuously.
+    For type t this reads p(y,x) + p(x,y) > p(x,x) + p(y,y) for every pair of
+    distinct points; each pair passes unless strict_fails fails its slack in
+    ``degenerate_pairs``, so a NaN slack fails.
+    Witnesses record the failing pair with z = y; their sides are the scalar
+    sums that the slack subtracts. With a single point there is nothing to
+    check and the verdict passes vacuously.
     """
     ty = InequalityType.parse(ty)
     _validate_cap(max_witnesses)
     E = M.entries
     n = M.n
     labels = M.labels
-    a, b = (E.T if c else E for c in _READS_COLUMN[ty])
-    lhs = a + b  # a[y] + b[y] at x, the left side at z = y
-    diag = np.diagonal(E)
-    rhs = diag[None, :] + diag[:, None]  # p(y,y) + p(x,x)
-    slack = lhs - rhs
+    A, B = (E.T if c else E for c in _READS_COLUMN[ty])
+    slack = degenerate_pairs(E, ty)
     off = ~np.eye(n, dtype=bool)
     mask = off & tol.strict_fails(slack)
-    witnesses = [
-        ViolationWitness(labels[x], labels[y], labels[y], float(lhs[x, y]), float(rhs[x, y]),
-                         -float(slack[x, y]))
-        for x, y in _leading_hits(mask, max_witnesses)
-    ]
+    witnesses = [ViolationWitness(labels[x], labels[y], labels[y], float(A[x, y]) + float(B[x, y]),
+                                  float(E[x, x]) + float(E[y, y]), -float(slack[x, y]))
+                 for x, y in _leading_hits(mask, max_witnesses)]
     min_slack = float(slack[off].min()) if n > 1 else None
     return _verdict(witnesses, min_slack, n * (n - 1), int(np.count_nonzero(mask)))
 
@@ -525,12 +533,6 @@ def first_violation(verdict: PropertyVerdict) -> ViolationWitness | None:
     return verdict.witnesses[0] if verdict.status is Status.FAIL else None
 
 
-def degenerate_pairs(E: np.ndarray) -> np.ndarray:
-    """p(x,y) + p(y,x) - p(x,x) - p(y,y) for every pair, as an (n, n) array."""
-    diag = np.diagonal(E)
-    return (E + E.T) - (diag[:, None] + diag[None, :])
-
-
 def _first_pair(M: LabeledMatrix, bad: np.ndarray, sides) -> ViolationWitness | None:
     """The first pair (x, y) in row-major order where ``bad`` holds, or None.
 
@@ -571,7 +573,7 @@ def _identity_of_indiscernibles(M: LabeledMatrix, tol: ToleranceConfig) -> Viola
 
 
 def _zero_protometric(M: LabeledMatrix, tol: ToleranceConfig) -> ViolationWitness | None:
-    bad = tol.eq_fails(degenerate_pairs(M.entries))  # a NaN from overflowing sums fails
+    bad = tol.eq_fails(degenerate_pairs(M.entries, _T))  # a NaN from overflowing sums fails
     return _first_pair(M, bad, lambda E, x, y: (E[x, y] + E[y, x], E[x, x] + E[y, y]))
 
 

@@ -56,7 +56,7 @@ class ToleranceConfig:
     """Comparison tolerances, each applied by one rule below.
 
     A rule takes what a check compares and returns where the check fails: a
-    bool for a float, an elementwise mask for an array, written into ``out``.
+    bool for a float, an elementwise mask for an array. Only transition_fails takes ``out``.
     """
 
     eps_ineq: float = 1e-9
@@ -72,14 +72,14 @@ class ToleranceConfig:
             # A numpy float32 would round every threshold computed from it to float32.
             object.__setattr__(self, name, eps)
 
-    def ineq_fails(self, slack, out=None):
+    def ineq_fails(self, slack):
         """a >= b, with slack a - b, fails when slack < -eps_ineq.
 
         A NaN would pass, but no slack is NaN: two finite floats summed, less one
         or two more, keep the one infinity they may overflow to. A float is
         compared without numpy, whose call on a scalar costs about 1 us.
         """
-        return slack < -self.eps_ineq if out is None else np.less(slack, -self.eps_ineq, out=out)
+        return slack < -self.eps_ineq
 
     def ineq_threshold(self, d: float) -> float:
         """The least float s at which ineq_fails(s - d) is false, for a finite d.
@@ -100,20 +100,20 @@ class ToleranceConfig:
             s = math.nextafter(s, -math.inf)
         return s + 0.0
 
-    def interval_fails(self, value, lo, hi, out=None):
+    def interval_fails(self, value, lo, hi):
         """lo <= value <= hi fails unless lo - eps_eq <= value <= hi + eps_eq; a NaN fails."""
         with np.errstate(over="ignore"):  # an end widened past the float range is +-inf
-            inside = np.less_equal(np.subtract(lo, self.eps_eq), value, out=out)
+            inside = np.less_equal(np.subtract(lo, self.eps_eq), value)
             inside &= np.less_equal(value, np.add(hi, self.eps_eq))
-        return np.logical_not(inside, out=out)
+        return np.logical_not(inside)
 
-    def eq_fails(self, delta, out=None):
+    def eq_fails(self, delta):
         """a = b, with delta a - b, fails unless delta lies in [0, 0] by interval_fails."""
-        return self.interval_fails(delta, 0.0, 0.0, out)
+        return self.interval_fails(delta, 0.0, 0.0)
 
-    def strict_fails(self, slack, out=None):
+    def strict_fails(self, slack):
         """a > b, with slack a - b, fails unless slack > eps_strict; a NaN fails."""
-        return np.logical_not(np.greater(slack, self.eps_strict, out=out), out=out)
+        return np.logical_not(np.greater(slack, self.eps_strict))
 
     def transition_fails(self, lhs, rhs, out=None):
         """lhs <= rhs fails when lhs > rhs * (1 + eps_ineq) + eps_ineq; a NaN passes."""

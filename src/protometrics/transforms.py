@@ -162,7 +162,7 @@ def metrize(
     """
     alpha = _check_positive_factor(alpha)
     _require(p, tol, "metrize", "prequad_t")
-    return LabeledMatrix(p.labels, alpha * degenerate_pairs(p.entries))
+    return LabeledMatrix(p.labels, alpha * degenerate_pairs(p.entries, InequalityType.TRANSITIVE))
 
 
 def compose(
@@ -185,14 +185,12 @@ def compose(
 def decompose(p: LabeledMatrix, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> Decomposition:
     """Split a protometric into f(x) = p(x,x) and d(x,y) = 2 p(x,y) - p(x,x) - p(y,y).
 
-    d is a difference protometric and compose(d, f) rebuilds p. Inverse of
-    compose, entry for entry.
+    d is the type-o degenerate slack of ``checks.degenerate_pairs``, a difference
+    protometric, and compose(d, f) rebuilds p entry for entry: the inverse of compose.
     """
     _require(p, tol, "decompose", "prequad_t")
-    E = p.entries
-    diag = np.diagonal(E)
-    d = (E + E) - (diag[:, None] + diag[None, :])
-    f = {l: float(diag[i]) for i, l in enumerate(p.labels)}
+    d = degenerate_pairs(p.entries, InequalityType.OUTGOING)
+    f = dict(zip(p.labels, np.diagonal(p.entries).tolist()))
     return Decomposition(d=LabeledMatrix(p.labels, d), f=f)
 
 

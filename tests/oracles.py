@@ -82,16 +82,25 @@ def perturb_target(E, ty):
     return best
 
 
-def strict_scan(E, ty, eps_strict=1e-9):
-    """Pairs (x, y), x != y, where the z = y instance is not strict; a NaN slack is not."""
+def strict_instances(E, ty):
+    """(x, y, lhs, rhs, slack) of the z = y instance at every pair x != y, in row-major order.
+
+    lhs is the type-ty left side at (x, y, y), rhs is p(y,y) + p(x,x), and the
+    slack is lhs - rhs.
+    """
     n = len(E)
-    lhs = LHS[ty]
-    bad = []
+    out = []
     for x in range(n):
         for y in range(n):
-            if y != x and not lhs(E, x, y, y) - (E[y][y] + E[x][x]) > eps_strict:
-                bad.append((x, y))
-    return bad
+            if y != x:
+                lhs, rhs = LHS[ty](E, x, y, y), E[y][y] + E[x][x]
+                out.append((x, y, lhs, rhs, lhs - rhs))
+    return out
+
+
+def strict_scan(E, ty, eps_strict=1e-9):
+    """Pairs (x, y), x != y, where the z = y instance is not strict; a NaN slack is not."""
+    return [(x, y) for x, y, _, _, slack in strict_instances(E, ty) if not slack > eps_strict]
 
 
 def transition_scan(E, eps=1e-9):

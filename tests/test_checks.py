@@ -30,6 +30,7 @@ from oracles import (
     LHS,
     additive_scan,
     diagonal_bounds_scan,
+    strict_instances,
     strict_scan,
     transition_scan,
 )
@@ -296,17 +297,36 @@ def test_additive_checks_match_oracle(rows, ty, prequad):
         assert w.deficit > 0
 
 
+def same(a, b):
+    """a == b, with a NaN equal to a NaN."""
+    return a == b or (a != a and b != b)
+
+
 @settings(max_examples=80, deadline=None)
 @given(square_matrices(), st.sampled_from("oitc"))
+@example([[-0.0, 1.0, -0.0], [-0.0, -0.0, 2.0], [0.5, -0.0, 0.0]], "t")
+@example([[1e308, -1e308], [1e308, 1e308]], "t")  # lhs 0.0, rhs overflows to inf
+@example([[1e308, 1e308], [-1e308, 1e308]], "o")  # slacks inf - inf = NaN and -inf
 def test_strict_check_matches_oracle(rows, ty):
     m = lm(rows)
-    v = check_strict(m, ty, max_witnesses=m.n**2 + 1)
-    bad = strict_scan(m.entries.tolist(), ty)
+    E = m.entries.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):  # sums of 1e308 overflow
+        v = check_strict(m, ty, max_witnesses=m.n**2 + 1)
+    instances = strict_instances(E, ty)
+    bad = strict_scan(E, ty)
     assert v.count_checked == m.n * (m.n - 1)
     assert v.count_violations == len(bad)
     assert (v.status is Status.FAIL) == bool(bad)
     idx = {lab: k for k, lab in enumerate(m.labels)}
     assert [(idx[w.x], idx[w.y]) for w in v.witnesses] == bad
+    # min_slack is numpy's minimum, which a NaN slack makes NaN.
+    slacks = [slack for *_, slack in instances]
+    want = min(slacks, default=None) if all(s == s for s in slacks) else math.nan
+    assert same(v.min_slack, want)
+    sides = {(x, y): (lhs, rhs, -slack) for x, y, lhs, rhs, slack in instances}
+    for w in v.witnesses:
+        lhs, rhs, deficit = sides[idx[w.x], idx[w.y]]
+        assert same(w.lhs, lhs) and same(w.rhs, rhs) and same(w.deficit, deficit), w
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,4 +1,4 @@
-"""Exact metamorphic relations of the 8 additive scans.
+"""Exact metamorphic relations of the 8 additive scans, the strict check and the diagonal bounds.
 
 Each relation predicts the bits of a verdict from another verdict, at any n,
 with no tolerance and no second implementation:
@@ -12,11 +12,20 @@ with no tolerance and no second implementation:
 Since fl(a + b) = fl(b + a), min_slack and the counts are equal bit for bit
 (compared by ``float.hex``). Witnesses are compared as sets, and only when
 the count is within the cap, so that the set is complete on both sides.
+
+The strict check reads the degenerate slack at (x, y, y), so under
+transposition the type-o check of M.T is the type-i check of M pair for
+pair, and types t and c read the same sums. The diagonal bounds of M.T are
+the dual type's bounds of M.
+
+The scans build their outer sums as BLAS products, so these tests carry the
+blas marker and are rerun on other OpenBLAS kernels.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,9 +35,13 @@ from protometrics import (
     LabeledMatrix,
     ToleranceConfig,
     auto_labels,
+    check_strict,
     classify,
+    diagonal_bounds,
     gen_protometric,
 )
+
+pytestmark = pytest.mark.blas
 
 CAP = 64
 DUAL = {"o": "i", "i": "o", "t": "t", "c": "c"}
@@ -36,7 +49,7 @@ DUAL = {"o": "i", "i": "o", "t": "t", "c": "c"}
 
 @st.composite
 def cases(draw):
-    """A matrix of up to 40 points and a tolerance.
+    """A matrix of up to 40 points and a tolerance whose three eps are equal.
 
     The matrix is one of: small integers, which take the float32 slabs; normal
     draws, which take float64; or a generated protometric of a random type,
@@ -61,7 +74,7 @@ def cases(draw):
     if kind in ("integers", "normal") and draw(st.booleans()):
         E = np.triu(E) + np.triu(E, 1).T
     eps = draw(st.sampled_from([0.0, 1e-9, 0.5]) | st.floats(1e-12, 4.0))
-    return LabeledMatrix(auto_labels(n), E), ToleranceConfig(eps_ineq=eps)
+    return LabeledMatrix(auto_labels(n), E), ToleranceConfig(eps, eps, eps)
 
 
 def scans(M, tol):
@@ -124,3 +137,68 @@ def test_power_of_two_scaling_scales_every_slack_exactly(case, k):
         # Positions are the same, in the same order, whatever the count.
         assert [(u.x, u.y, u.z) for u in v.witnesses] == [(u.x, u.y, u.z) for u in w.witnesses]
         assert witness_set(v, scale=s) == witness_set(w)
+
+
+def strict_checks(M, tol):
+    return {ty: check_strict(M, ty, tol, max_witnesses=CAP) for ty in "oitc"}
+
+
+def bounds(M, tol):
+    """The diagonal bounds of each type, keyed by type code."""
+    return {ty: diagonal_bounds(M, ty, tol) for ty in "oitc"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases())
+def test_transpose_is_the_dual_strict_check_and_bounds(case):
+    M, tol = case
+    transposed = LabeledMatrix(M.labels, M.entries.T)
+    # repr is exact for floats, so these compare every field bit for bit.
+    got, dual = strict_checks(M, tol), strict_checks(transposed, tol)
+    for ty, v in got.items():
+        assert repr(v) == repr(dual[DUAL[ty]]), ty
+    assert repr(got["c"]) == repr(got["t"])
+    got, dual = bounds(M, tol), bounds(transposed, tol)
+    for ty, b in got.items():
+        assert repr(b) == repr(dual[DUAL[ty]]), ty
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.randoms(use_true_random=False))
+def test_relabelling_only_reorders_the_strict_pairs_and_bounds(case, random):
+    M, tol = case
+    labels = list(M.labels)
+    random.shuffle(labels)
+    moved = M.reordered(labels)
+    got, other = strict_checks(M, tol), strict_checks(moved, tol)
+    for ty, v in got.items():
+        w = other[ty]
+        assert (v.status, v.min_slack, v.count_checked, v.count_violations) == \
+            (w.status, w.min_slack, w.count_checked, w.count_violations), ty
+        if v.count_violations <= CAP:
+            assert witness_set(v) == witness_set(w), ty
+    got, other = bounds(M, tol), bounds(moved, tol)
+    for ty, b in got.items():
+        assert repr(sorted(b)) == repr(sorted(other[ty])), ty
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases(), st.sampled_from([-7, 7]))
+def test_power_of_two_scaling_scales_the_strict_slacks_and_bounds_exactly(case, k):
+    M, tol = case
+    s = math.ldexp(1.0, k)
+    scaled_M = LabeledMatrix(M.labels, M.entries * s)
+    scaled_tol = ToleranceConfig(tol.eps_ineq * s, tol.eps_eq * s, tol.eps_strict * s)
+    got, scaled = strict_checks(M, tol), strict_checks(scaled_M, scaled_tol)
+    for ty, v in got.items():
+        w = scaled[ty]
+        assert (v.status, v.count_checked, v.count_violations) == \
+            (w.status, w.count_checked, w.count_violations), ty
+        assert (None if v.min_slack is None else v.min_slack * s) == w.min_slack, ty
+        assert [(u.x, u.y) for u in v.witnesses] == [(u.x, u.y) for u in w.witnesses], ty
+        assert witness_set(v, scale=s) == witness_set(w), ty
+    got, scaled = bounds(M, tol), bounds(scaled_M, scaled_tol)
+    for ty, b in got.items():
+        want = [(x, iv.lo * s, iv.hi * s, iv.nonempty, member) for x, iv, member in b]
+        have = [(x, iv.lo, iv.hi, iv.nonempty, member) for x, iv, member in scaled[ty]]
+        assert want == have, ty
