@@ -111,8 +111,8 @@ class ViolationWitness:
     ``deficit`` is derived from the same slack value the scan used to flag
     the violation, so it can differ from rhs - lhs in the last binary digit
     when the two sides were accumulated in a different order. A failing pair
-    (x, y) of a ``BASE_FLAGS`` test is recorded with z = y and deficit
-    |lhs - rhs|.
+    (x, y), of a ``BASE_FLAGS`` test or of a transform's pair refusal, is
+    recorded with z = y and deficit |lhs - rhs|.
     """
 
     x: str

@@ -256,7 +256,7 @@ def _run(args: argparse.Namespace) -> int:
     if "input" in args:
         text = _read_text(args.input)
         in_format = detect_format(text)
-        source = text if op.reads_text else parse_matrix(text, in_format)
+        source = text if op.reads_text else parse_matrix(text)
     else:
         source, in_format = None, MatrixFormat.CSV
     out = op.run(source, args, tol)
@@ -354,10 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (InputError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -198,19 +198,15 @@ def _matrix_from_obj(doc: object) -> LabeledMatrix:
         raise ParseError(str(e)) from None
 
 
-def parse_matrix(text: str, format: MatrixFormat | str | None = None) -> LabeledMatrix:
-    """Parse matrix text; the format is sniffed when not given.
+def parse_matrix(text: str) -> LabeledMatrix:
+    """Parse matrix text in the format that ``detect_format`` sniffs.
 
     Errors carry a 1-based position where one makes sense.
     """
-    if isinstance(format, str):
-        format = MatrixFormat.parse(format)
     text = _without_bom(text)
-    if format is None:
-        format = detect_format(text)
     if not text.strip():
         raise ParseError("empty input")
-    if format is MatrixFormat.CSV:
+    if detect_format(text) is MatrixFormat.CSV:
         return _parse_csv(text)
     return _matrix_from_obj(_load_json(text))
 

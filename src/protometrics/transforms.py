@@ -13,6 +13,8 @@ import numpy as np
 from .checks import (
     BASE_FLAGS,
     DERIVED_FLAGS,
+    _entry,
+    _first_pair,
     check_prequadrangle,
     check_triangle,
     degenerate_pairs,
@@ -211,13 +213,13 @@ def zero_coordinates(
     labels = p.labels
     a = E[:, 0]
     b = E[0, :] - E[0, 0]
-    resid = E - (a[:, None] + b[None, :])
-    bad = tol.eq_fails(resid)
-    if bool(bad.any()):
-        i, j = divmod(int(np.argmax(bad)), p.n)
+    w = _first_pair(p, tol.eq_fails(E - (a[:, None] + b[None, :])),
+                    lambda E, x, y: (E[x, y], float(a[x]) + float(b[y])))
+    if w is not None:  # w.deficit is the residual's magnitude
         raise PreconditionError(
             "zero_coordinates: entries are not separable as a(x) + b(y); "
-            f"residual {abs(float(resid[i, j]))!r} at ({labels[i]!r}, {labels[j]!r})"
+            f"residual {w.deficit!r} at ({w.x!r}, {w.y!r})",
+            witness=w,
         )
     return ZeroCoordinates(
         a={l: float(a[i]) for i, l in enumerate(labels)},
@@ -348,11 +350,11 @@ def log_transform(s: LabeledMatrix) -> LabeledMatrix:
 
     Maps the transition inequality onto the type-t pre-quadrangle inequality.
     """
-    E = s.entries
-    if not bool((E > 0).all()):
-        i, j = divmod(int(np.argmax(~(E > 0))), s.n)
+    w = _first_pair(s, ~(s.entries > 0), _entry)
+    if w is not None:
         raise PreconditionError(
             f"log transform needs strictly positive entries, but "
-            f"s({s.labels[i]!r},{s.labels[j]!r}) = {float(E[i, j])!r}"
+            f"s({w.x!r},{w.y!r}) = {w.lhs!r}",
+            witness=w,
         )
-    return LabeledMatrix(s.labels, -np.log(E))
+    return LabeledMatrix(s.labels, -np.log(s.entries))

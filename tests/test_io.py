@@ -111,18 +111,6 @@ def test_clean_rows_are_converted_whole(monkeypatch):
     assert len(cells) == 2
 
 
-def test_parse_with_explicit_format():
-    # explicit format wins over sniffing
-    m = parse_matrix('{"matrix": [[0]]}', format="json")
-    assert m.n == 1
-    assert parse_matrix('{"matrix": [[0]]}').n == 1  # sniffed as JSON
-    assert parse_matrix("0,1\n1,0", MatrixFormat.CSV).n == 2
-    with pytest.raises(ParseError):
-        parse_matrix("0,1\n1,0\n", format="json")
-    with pytest.raises(InputError, match="expected csv or json"):
-        parse_matrix("0", format="yaml")
-
-
 def test_parse_empty_input():
     for text in ("", "   \n  ", "\n\n"):
         with pytest.raises(ParseError, match="empty input"):
@@ -172,7 +160,10 @@ def test_parse_json_errors():
     with pytest.raises(ParseError, match="invalid JSON"):
         parse_matrix('{"matrix": [[0],')
     with pytest.raises(ParseError, match="must be an object"):
-        parse_matrix("[[0, 1], [1, 0]]", format="json")
+        parse_decomposition('{"d": [[0, 1], [1, 0]], "f": {}}')
+    # The format is sniffed: a labeled CSV whose unread top-left cell starts with "{" is JSON.
+    with pytest.raises(ParseError, match="invalid JSON"):
+        parse_matrix("{,a,b\na,0,1\nb,1,0\n")
     with pytest.raises(ParseError, match="missing the 'matrix' key"):
         parse_matrix('{"labels": ["a"]}')
     with pytest.raises(ParseError, match="nonempty array"):
@@ -235,9 +226,9 @@ def test_roundtrip_exact_values(fmt):
         [-0.0, 123456789.123456789, 0.1 + 0.2],
     ]
     m = lm(rows)
-    again = parse_matrix(serialize_matrix(m, fmt), fmt)
+    again = parse_matrix(serialize_matrix(m, fmt))
     assert again == m
-    assert parse_matrix(serialize_matrix(again, fmt), fmt) == again
+    assert parse_matrix(serialize_matrix(again, fmt)) == again
 
 
 _label = st.text(
@@ -268,7 +259,7 @@ _label = st.text(
 def test_roundtrip_property(labels_rows, fmt):
     labels, rows = labels_rows
     m = LabeledMatrix(tuple(labels), rows)
-    again = parse_matrix(serialize_matrix(m, fmt), fmt)
+    again = parse_matrix(serialize_matrix(m, fmt))
     # bytes, not ==, which takes -0.0 for 0.0
     assert (again.labels, again.entries.tobytes()) == (m.labels, m.entries.tobytes())
 

@@ -151,12 +151,14 @@ def test_guarded_transforms_reject_exactly_when_their_flag_is_false(M, tol):
     flags = classify(M, tol).flags
     for name, (fn, flag) in GUARDED.items():
         err = rejection(fn, M, tol)
+        assert err is None or err.witness is not None, name
         if name == "zerocoords" and flags[flag]:
-            continue  # may still reject when the entries are not separable
+            # may still reject when the entries are not separable
+            assert err is None or f"residual {err.witness.deficit!r} at " in str(err)
+            continue
         assert (err is not None) == (not flags[flag]), name
         if err is not None:
             assert f"needs {flag}, but " in str(err)
-            assert err.witness is not None
 
 
 @pytest.fixture()

@@ -15,6 +15,7 @@ from protometrics import (
     Status,
     ToleranceConfig,
     TransitivityError,
+    ViolationWitness,
     add,
     affine_gauge,
     auto_labels,
@@ -250,8 +251,13 @@ def test_zero_coordinates_rejects_nonzero_protometric():
 def test_zero_coordinates_rejects_inseparable():
     # degenerate-pair equality holds, yet no a(x) + b(y) representation
     p = lm([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    with pytest.raises(PreconditionError, match="separable"):
+    with pytest.raises(PreconditionError) as err:
         zero_coordinates(p)
+    # a = (0, -1, 0) and b = (0, 1, 0): the first residual in row-major order
+    # is p(x2, x3) - (a(x2) + b(x3)) = 0 - (-1 + 0).
+    assert str(err.value) == ("zero_coordinates: entries are not separable as a(x) + b(y); "
+                              "residual 1.0 at ('x2', 'x3')")
+    assert err.value.witness == ViolationWitness("x2", "x3", "x3", 0.0, -1.0, 1.0)
 
 
 def test_potential_of_golden():
@@ -432,6 +438,14 @@ def test_log_transform_requires_positive_entries():
         log_transform(lm([[1.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(PreconditionError, match="strictly positive"):
         log_transform(lm([[1.0, -0.5], [1.0, 1.0]]))
+    # The first offender in row-major order, with the sign of a zero kept.
+    with pytest.raises(PreconditionError) as err:
+        log_transform(lm([[1.0, 2.0], [-0.0, -3.0]]))
+    assert str(err.value) == ("log transform needs strictly positive entries, "
+                              "but s('x2','x1') = -0.0")
+    w = err.value.witness
+    assert w == ViolationWitness("x2", "x1", "x1", 0.0, 0.0, 0.0)
+    assert math.copysign(1.0, w.lhs) == -1.0
 
 
 # Every library argument that takes one real number, each given v.
