@@ -63,7 +63,6 @@ from .generators import (
     shortest_path_closure,
 )
 from .io import (
-    MatrixFormat,
     detect_format,
     parse_gauge_csv,
     parse_matrix,
@@ -84,7 +83,6 @@ __all__ = [
     "Interval",
     "InvalidMatrixError",
     "LabeledMatrix",
-    "MatrixFormat",
     "ParseError",
     "PreconditionError",
     "PreorderResult",

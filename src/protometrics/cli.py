@@ -35,7 +35,7 @@ from .generators import (
     gen_zero_protometric,
 )
 from .io import (
-    MatrixFormat,
+    _FORMATS,
     decomposition_obj,
     detect_format,
     parse_decomposition,
@@ -97,11 +97,11 @@ class _Output:
     write: Callable[[object, str, argparse.Namespace], str]
 
 
-_MATRIX = _Output(("csv", "json"), None, "matrix output supports csv or json, not {fmt}",
+_MATRIX = _Output(_FORMATS["matrix"], None, "matrix output supports csv or json, not {fmt}",
                   lambda M, fmt, args: serialize_matrix(M, fmt))
-_REPORT = _Output(("json", "text"), "json", "reports support json or text output, not {fmt!r}",
+_REPORT = _Output(_FORMATS["report"], "json", "reports support json or text output, not {fmt!r}",
                   lambda report, fmt, args: serialize_report(report, fmt))
-_VERDICT = _Output(("json", "text"), "text", "reports support json or text output, not {fmt!r}",
+_VERDICT = _Output(_FORMATS["verdict"], "text", "reports support json or text output, not {fmt!r}",
                    lambda verdict, fmt, args: serialize_verdict(args.op, verdict, fmt))
 _OBJECT = _Output(("json",), "json", "{op} output is always JSON",
                   lambda obj, fmt, args: json.dumps(obj) + "\n")
@@ -258,9 +258,9 @@ def _run(args: argparse.Namespace) -> int:
         in_format = detect_format(text)
         source = text if op.reads_text else parse_matrix(text)
     else:
-        source, in_format = None, MatrixFormat.CSV
+        source, in_format = None, "csv"
     out = op.run(source, args, tol)
-    fmt = args.format or output.default or in_format.value
+    fmt = args.format or output.default or in_format
     _write_text(args.output, output.write(out, fmt, args))
     return 1 if output is _VERDICT and out.status is Status.FAIL else 0
 
@@ -354,7 +354,7 @@ def main(argv: list[str] | None = None) -> int:
     except PreconditionError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except (InputError, OSError) as e:
+    except (InputError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

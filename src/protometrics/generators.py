@@ -173,13 +173,15 @@ def _closed(rng: SplitMix64, n: int, scale: float, symmetric: bool) -> np.ndarra
     drawn = np.triu(off) if symmetric else off
     k = int(np.count_nonzero(drawn))
     for _ in range(1000):
-        E = np.zeros((n, n))
-        E[drawn] = rng._units_pos(k) * scale  # a boolean mask assigns in row-major order
-        if symmetric:
-            E = E + E.T  # the lower triangle is zero, so this mirrors exactly
-        E = _closure(E)
-        if n == 1 or not DEFAULT_TOLERANCE.strict_fails(float(E[off].min())):
-            return E
+        edges = rng._units_pos(k) * scale
+        # A sum of nonnegative floats never rounds below a term, so the least
+        # off-diagonal entry of the closure is the least edge: test before closing.
+        if n == 1 or not DEFAULT_TOLERANCE.strict_fails(float(edges.min())):
+            E = np.zeros((n, n))
+            E[drawn] = edges  # a boolean mask assigns in row-major order
+            if symmetric:
+                E = E + E.T  # the lower triangle is zero, so this mirrors exactly
+            return _closure(E)
     raise InputError(f"scale {scale!r} is too small to keep distances away from zero")
 
 

@@ -1,13 +1,15 @@
 """Reading and writing matrices and classification reports.
 
-Two wire formats. CSV: an optional header row of labels plus a leading label
-column, detected by a non-numeric first cell; otherwise a bare numeric grid
-labeled x1..xn. JSON: an object with an optional "labels" array and a
-required square "matrix". Numbers are written with the shortest decimal that
-parses back to the identical binary float, and non-finite values are
-rejected at parse time, as is a JSON label that UTF-8 cannot encode. One
-leading byte-order mark (U+FEFF), which spreadsheet exports write, is
-ignored.
+Two wire formats, named by the strings "csv" and "json". CSV: an optional
+header row of labels plus a leading label column, detected by a non-numeric
+first cell; otherwise a bare numeric grid labeled x1..xn. JSON: an object
+with an optional "labels" array and a required square "matrix". Reports and
+verdicts are written as "json" or "text". A serializer refuses every other
+format value, "JSON" and None among them. Numbers are written with the
+shortest decimal that parses back to the identical binary float, and
+non-finite values are rejected at parse time, as is a JSON label that UTF-8
+cannot encode. One leading byte-order mark (U+FEFF), which spreadsheet
+exports write, is ignored.
 
 Both directions convert a whole row at a time: a row is parsed by one
 ``map(float, ...)`` and checked by the finiteness of its sum, and written
@@ -19,7 +21,6 @@ numbers whose sum overflows is accepted there.
 from __future__ import annotations
 
 import csv
-import enum
 import io as _io
 import json
 import math
@@ -31,7 +32,6 @@ from .matrix import LabeledMatrix, auto_labels
 from .transforms import Decomposition
 
 __all__ = [
-    "MatrixFormat",
     "decomposition_obj",
     "detect_format",
     "parse_decomposition",
@@ -43,26 +43,25 @@ __all__ = [
 ]
 
 
-class MatrixFormat(enum.Enum):
-    CSV = "csv"
-    JSON = "json"
+# The formats each serializer writes, in the order its refusal names them.
+_FORMATS = {"matrix": ("csv", "json"), "report": ("json", "text"), "verdict": ("json", "text")}
 
-    @classmethod
-    def parse(cls, code: str) -> "MatrixFormat":
-        try:
-            return cls(code)
-        except ValueError:
-            raise InputError(f"unknown matrix format {code!r}; expected csv or json") from None
+
+def _format(kind: str, format: object) -> str:
+    """format, when the kind's serializer writes it; any other value is an InputError."""
+    formats = _FORMATS[kind]
+    if isinstance(format, str) and format in formats:
+        return format
+    raise InputError(f"unknown {kind} format {format!r}; expected {' or '.join(formats)}")
 
 
 def _without_bom(text: str) -> str:
     return text[1:] if text.startswith("\ufeff") else text
 
 
-def detect_format(text: str) -> MatrixFormat:
-    """Sniff the format: a document starting with '{' is JSON, else CSV."""
-    stripped = _without_bom(text).lstrip()
-    return MatrixFormat.JSON if stripped.startswith("{") else MatrixFormat.CSV
+def detect_format(text: str) -> str:
+    """Sniff the format: "json" for a document starting with '{', else "csv"."""
+    return "json" if _without_bom(text).lstrip().startswith("{") else "csv"
 
 
 def _parse_cell(cell: str, row: int, col: int) -> float:
@@ -206,7 +205,7 @@ def parse_matrix(text: str) -> LabeledMatrix:
     text = _without_bom(text)
     if not text.strip():
         raise ParseError("empty input")
-    if detect_format(text) is MatrixFormat.CSV:
+    if detect_format(text) == "csv":
         return _parse_csv(text)
     return _matrix_from_obj(_load_json(text))
 
@@ -215,11 +214,9 @@ def _matrix_obj(M: LabeledMatrix) -> dict:
     return {"labels": list(M.labels), "matrix": M.entries.tolist()}
 
 
-def serialize_matrix(M: LabeledMatrix, format: MatrixFormat | str = MatrixFormat.CSV) -> str:
+def serialize_matrix(M: LabeledMatrix, format: str = "csv") -> str:
     """Serialize with labels; parse(serialize(M)) reproduces M bit for bit."""
-    if isinstance(format, str):
-        format = MatrixFormat.parse(format)
-    if format is MatrixFormat.JSON:
+    if _format("matrix", format) == "json":
         return json.dumps(_matrix_obj(M)) + "\n"
     for l in M.labels:
         if any(c in l for c in ",\r\n\""):
@@ -242,10 +239,8 @@ def _verdict_obj(v: PropertyVerdict) -> dict:
 
 def serialize_verdict(selector: str, verdict: PropertyVerdict, format: str) -> str:
     """Render one check verdict as JSON or as a text line plus its first witness."""
-    if format == "json":
+    if _format("verdict", format) == "json":
         return json.dumps(_verdict_obj(verdict)) + "\n"
-    if format != "text":
-        raise InputError(f"unknown verdict format {format!r}; expected json or text")
     slack = "n/a" if verdict.min_slack is None else repr(verdict.min_slack)
     lines = [
         f"{selector}: {verdict.status.value} min_slack={slack} "
@@ -271,10 +266,8 @@ def serialize_report(report: ClassificationReport, format: str = "json") -> str:
     for ty, v in report.prequadrangle.items():
         verdicts[f"prequad_{ty.value}"] = _verdict_obj(v)
     verdicts["strict_t"] = _verdict_obj(report.strictness)
-    if format == "json":
+    if _format("report", format) == "json":
         return json.dumps({"flags": report.flags, "verdicts": verdicts}, indent=2) + "\n"
-    if format != "text":
-        raise InputError(f"unknown report format {format!r}; expected json or text")
     width = max(len(name) for name in REPORT_FLAGS)
     lines = []
     for name in REPORT_FLAGS:
@@ -321,7 +314,7 @@ def parse_decomposition(text: str) -> Decomposition | None:
     Returns None when the text is not a JSON object with both "d" and "f" keys.
     """
     text = _without_bom(text)
-    if detect_format(text) is not MatrixFormat.JSON:
+    if detect_format(text) != "json":
         return None
     doc = _load_json(text)
     if not (isinstance(doc, dict) and "d" in doc and "f" in doc):

@@ -164,7 +164,9 @@ def metrize(
     """
     alpha = _check_positive_factor(alpha)
     _require(p, tol, "metrize", "prequad_t")
-    return LabeledMatrix(p.labels, alpha * degenerate_pairs(p.entries, InequalityType.TRANSITIVE))
+    d = degenerate_pairs(p.entries, InequalityType.TRANSITIVE)
+    with np.errstate(over="ignore"):  # LabeledMatrix rejects an overflowed result
+        return LabeledMatrix(p.labels, alpha * d)
 
 
 def compose(
@@ -320,7 +322,8 @@ def farris_transform(
     if not np.isfinite(constant):
         raise InputError(f"constant must be finite, got {constant!r}")
     G = gromov_product(d, x0, tol)
-    return LabeledMatrix(d.labels, constant - G.entries)
+    with np.errstate(over="ignore"):  # LabeledMatrix rejects an overflowed result
+        return LabeledMatrix(d.labels, constant - G.entries)
 
 
 def min_farris_constant(

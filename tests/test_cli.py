@@ -279,6 +279,25 @@ def test_transform_compose_overflow(cli, tmp_path):
     assert "transforms.py" not in err
 
 
+@pytest.mark.parametrize("argv, stdin, entry", [
+    (["metrize", "--alpha", "1e308"], "0,1\n1,0\n", "inf at ('x1', 'x2')"),
+    (["farris", "--base-label", "x1", "--constant=-1.7e308"], "0,1.5e307\n1.5e307,0\n",
+     "-inf at ('x2', 'x2')"),
+])
+def test_an_overflowed_transform_output_is_refused_without_a_warning(cli, argv, stdin, entry):
+    with warnings_printed():
+        code, out, err = cli(["transform", *argv], stdin=stdin)
+    assert (code, out) == (2, "")
+    assert err == f"error: non-finite entry {entry}\n"
+
+
+def test_an_n_too_large_for_memory_is_an_input_error(cli):
+    # The first (m, m) array of m = n/2 points asks for 2.2 PiB, so nothing is built.
+    code, out, err = cli(["generate", "protometric", "--n", "100000000"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+
 def test_transform_metrize(cli):
     code, out, _ = cli(["transform", "metrize"], stdin=PROTO_CSV)
     assert code == 0

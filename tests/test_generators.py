@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from protometrics import (
     generators,
     metrize,
     perturb_violation,
+    serialize_matrix,
     shortest_path_closure,
     zero_coordinates,
 )
@@ -371,6 +373,41 @@ def test_perturb_skips_the_diagonal_slot_of_the_centre():
 def test_closed_draws_refuse_a_scale_too_small_to_separate_points():
     with pytest.raises(InputError, match="too small to keep distances away from zero"):
         gen_metric(GenSpec(n=2, seed=0, scale=1e-12))
+
+
+# sha256 of the CSV of each instance at scale 2**-25, n in (1, 2, 3, 5, 8) and
+# seeds 0-7, as the generators wrote them when each draw was closed before it
+# was tested. At that scale about 3% of edges are at eps_strict or below, so
+# many instances are redrawn.
+REDRAWN_STREAMS = {
+    "metric": (gen_metric, "cb49767ff6cda59e5aecf81d3a5613251f792083d04c1165dfd25686cf37285a"),
+    "qsm": (gen_quasi_semi_metric,
+            "2d9ea86852ac4656f2e9e486767ecdb97c0307e12c3ad8213b7a4c7fd0c8a98c"),
+    "proto_t_strict": (lambda spec: gen_protometric(spec, "t", strict=True),
+                       "5c8e76b5a9056fc2fa298b4bdea49905f310e37f205ce0da6a3b13055e84a15f"),
+    "proto_o": (lambda spec: gen_protometric(spec, "o"),
+                "e699e0c577e3700458801499c1f6a7b160c9e0d1012a0ca552e08a37c262dfca"),
+}
+
+
+@pytest.mark.parametrize("name", REDRAWN_STREAMS)
+def test_a_draw_is_tested_before_it_is_closed(name, monkeypatch):
+    gen, digest = REDRAWN_STREAMS[name]
+    closures, draws = [], []
+    closure, units_pos = generators._closure, SplitMix64._units_pos
+    monkeypatch.setattr(generators, "_closure", lambda E: closures.append(E) or closure(E))
+    monkeypatch.setattr(SplitMix64, "_units_pos",
+                        lambda self, k: draws.append(k) or units_pos(self, k))
+    h = hashlib.sha256()
+    for n in (1, 2, 3, 5, 8):
+        for seed in range(8):
+            h.update(serialize_matrix(gen(GenSpec(n, seed, 2.0**-25))).encode())
+    assert h.hexdigest() == digest
+    assert len(closures) == 40 < len(draws)  # one closure per instance, and some redraws
+    closures.clear()
+    with pytest.raises(InputError, match=r"^scale 1e-10 is too small"):
+        gen(GenSpec(8, 0, 1e-10))
+    assert closures == []
 
 
 def test_perturb_rejects_bad_magnitude():

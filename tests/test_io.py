@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from protometrics import (
     InputError,
     LabeledMatrix,
-    MatrixFormat,
     ParseError,
     REPORT_FLAGS,
     auto_labels,
@@ -31,10 +30,14 @@ def lm(rows, labels=None):
 
 
 def test_detect_format():
-    assert detect_format('{"matrix": [[0]]}') is MatrixFormat.JSON
-    assert detect_format('  \n {"matrix": [[0]]}') is MatrixFormat.JSON
-    assert detect_format("0,1\n1,0") is MatrixFormat.CSV
-    assert detect_format(",a\na,0") is MatrixFormat.CSV
+    assert detect_format('{"matrix": [[0]]}') == "json"
+    assert detect_format('  \n {"matrix": [[0]]}') == "json"
+    assert detect_format("0,1\n1,0") == "csv"
+    assert detect_format(",a\na,0") == "csv"
+    # the plain strings that serialize_matrix takes, not members of an enum
+    for fmt in ("csv", "json"):
+        sniffed = detect_format(serialize_matrix(lm([[0.0]]), fmt))
+        assert type(sniffed) is str and sniffed == fmt
 
 
 BOM = "\ufeff"  # the byte-order mark that spreadsheet exports put first
@@ -46,7 +49,7 @@ BOM = "\ufeff"  # the byte-order mark that spreadsheet exports put first
     '{"labels": ["a", "b"], "matrix": [[0, 1], [1, 0]]}',
 ])
 def test_a_leading_byte_order_mark_is_ignored(text):
-    assert detect_format(BOM + text) is detect_format(text)
+    assert detect_format(BOM + text) == detect_format(text)
     assert parse_matrix(BOM + text) == parse_matrix(text)
 
 
@@ -58,10 +61,30 @@ def test_gauge_and_decomposition_ignore_a_leading_byte_order_mark():
 
 
 def test_matrix_format_parse():
-    assert MatrixFormat.parse("csv") is MatrixFormat.CSV
-    assert MatrixFormat.parse("json") is MatrixFormat.JSON
+    m = lm([[0.0, 1.0], [1.0, 0.0]])
+    assert serialize_matrix(m, "csv") == serialize_matrix(m) == ",x1,x2\nx1,0.0,1.0\nx2,1.0,0.0\n"
+    assert serialize_matrix(m, "json") == '{"labels": ["x1", "x2"], "matrix": [[0.0, 1.0], [1.0, 0.0]]}\n'
     with pytest.raises(InputError, match="expected csv or json"):
-        MatrixFormat.parse("text")
+        serialize_matrix(m, "text")
+
+
+_NOT_FORMATS = [None, 3, b"json", "JSON", ""]
+_SERIALIZERS = {
+    "matrix": (lambda fmt: serialize_matrix(lm(HDIFF), fmt), "csv or json", ["text"]),
+    "report": (lambda fmt: serialize_report(classify(lm(HDIFF)), fmt), "json or text", ["csv"]),
+    "verdict": (lambda fmt: serialize_verdict("triangle:t", check_triangle(lm(HDIFF), "t"), fmt),
+                "json or text", ["csv"]),
+}
+
+
+@pytest.mark.parametrize("kind, fmt", [
+    (kind, fmt) for kind, (_, _, others) in _SERIALIZERS.items() for fmt in _NOT_FORMATS + others
+])
+def test_each_serializer_refuses_any_other_format_value(kind, fmt):
+    write, expected, _ = _SERIALIZERS[kind]
+    with pytest.raises(InputError) as err:
+        write(fmt)
+    assert str(err.value) == f"unknown {kind} format {fmt!r}; expected {expected}"
 
 
 def test_parse_bare_csv():
