@@ -76,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, _integer
 from .matrix import DEFAULT_TOLERANCE, InequalityType, Interval, LabeledMatrix, ToleranceConfig
 
 __all__ = [
@@ -149,10 +149,12 @@ def _verdict(witnesses, min_slack: float | None, checked: int, violations: int) 
     return PropertyVerdict(status, witnesses, min_slack, checked, violations)
 
 
-def _validate_cap(max_witnesses: int) -> None:
+def _validate_cap(max_witnesses: int) -> int:
+    max_witnesses = _integer("max_witnesses", max_witnesses)
     # A FAIL verdict must carry at least one witness.
     if max_witnesses < 1:
         raise InputError(f"max_witnesses must be >= 1, got {max_witnesses}")
+    return max_witnesses
 
 
 _O, _I, _T, _C = InequalityType
@@ -270,7 +272,7 @@ def _scan(
     Python floats; masks and witnesses are built only at an x where some
     pair fails.
     """
-    _validate_cap(max_witnesses)
+    max_witnesses = _validate_cap(max_witnesses)
     E = M.entries
     n = M.n
     labels = M.labels
@@ -408,7 +410,7 @@ def check_strict(
     check and the verdict passes vacuously.
     """
     ty = InequalityType.parse(ty)
-    _validate_cap(max_witnesses)
+    max_witnesses = _validate_cap(max_witnesses)
     E = M.entries
     n = M.n
     labels = M.labels
@@ -460,7 +462,7 @@ def check_transition(
 
     The floor is a proof about transition_fails, not a tolerance rule.
     """
-    _validate_cap(max_witnesses)
+    max_witnesses = _validate_cap(max_witnesses)
     E = M.entries
     n = M.n
     if for_log_transform and not bool((E > 0).all()):

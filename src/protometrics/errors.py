@@ -1,4 +1,4 @@
-"""Exception types, and the type check of a scalar argument that raises one.
+"""Exception types, and the type checks of a scalar argument that raise one.
 
 Two families matter downstream: InputError for structurally bad usage
 (malformed text, unknown labels, invalid parameters) and PreconditionError
@@ -69,3 +69,14 @@ def _real_number(what: str, value) -> float:
         return float(value)
     except OverflowError:
         raise InputError(f"{what} is too large for a float") from None
+
+
+def _integer(what: str, value) -> int:
+    """``value`` as an int, or InputError unless it is an integer.
+
+    Any ``numbers.Integral`` is accepted, numpy's integer scalars included; a
+    bool is rejected. Range checks are left to the caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(value)

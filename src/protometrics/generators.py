@@ -30,7 +30,7 @@ from .checks import (
     check_prequadrangle,
     first_violation,
 )
-from .errors import InputError, PreconditionError, _real_number
+from .errors import InputError, PreconditionError, _integer, _real_number
 from .matrix import (
     DEFAULT_TOLERANCE,
     InequalityType,
@@ -117,16 +117,17 @@ class GenSpec:
     scale: float = 10.0
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
-            raise InputError(f"n must be an integer >= 1, got {self.n!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
-            raise InputError(f"seed must be an integer, got {self.seed!r}")
-        if not (0 <= self.seed < (1 << 64)):
-            raise InputError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        n, seed = _integer("n", self.n), _integer("seed", self.seed)
+        if n < 1:
+            raise InputError(f"n must be an integer >= 1, got {n!r}")
+        if not (0 <= seed < (1 << 64)):
+            raise InputError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
         # No generator sums more than three drawn magnitudes, so 2**1021 cannot overflow.
         scale = _real_number("scale", self.scale)
         if not 0 < scale <= _MAX_SCALE:
             raise InputError(f"scale must be > 0 and at most 2**1021, got {self.scale!r}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "scale", scale)
 
 
@@ -221,7 +222,9 @@ def gen_protometric(
     random surjection, so tied pairs occur whenever n >= 2.
 
     Draw order: base entries, then the surjection targets (non-strict only),
-    then f values in label order.
+    then f values in label order. At a scale off the exact grid (see the
+    module docstring) the closed base can miss the type-t pre-quadrangle
+    inequality by a rounding; that is an InputError naming the scale.
     """
     ty = InequalityType.parse(ty)
     rng = SplitMix64(spec.seed)
@@ -233,7 +236,14 @@ def gen_protometric(
     labels = auto_labels(n)
     d = LabeledMatrix(labels, base[np.ix_(sigma, sigma)])
     f = dict(zip(labels, (rng._signed(n) * spec.scale).tolist()))
-    return compose(d, f)
+    try:
+        return compose(d, f)
+    except PreconditionError as e:  # only prequad_t can fail: the base has a zero diagonal
+        w = e.witness
+        raise InputError(
+            f"scale {spec.scale!r} rounds the draws, and the closed base then fails prequad_t "
+            f"at (x={w.x!r}, y={w.y!r}, z={w.z!r}): lhs={w.lhs!r}, rhs={w.rhs!r}"
+        ) from None
 
 
 def gen_zero_protometric(spec: GenSpec) -> LabeledMatrix:

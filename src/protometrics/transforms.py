@@ -13,6 +13,7 @@ import numpy as np
 from .checks import (
     BASE_FLAGS,
     DERIVED_FLAGS,
+    ViolationWitness,
     _entry,
     _first_pair,
     check_prequadrangle,
@@ -223,11 +224,8 @@ def zero_coordinates(
             f"residual {w.deficit!r} at ({w.x!r}, {w.y!r})",
             witness=w,
         )
-    return ZeroCoordinates(
-        a={l: float(a[i]) for i, l in enumerate(labels)},
-        b={l: float(b[i]) for i, l in enumerate(labels)},
-        ref=labels[0],
-    )
+    return ZeroCoordinates(a=dict(zip(labels, a.tolist())), b=dict(zip(labels, b.tolist())),
+                           ref=labels[0])
 
 
 def potential_of(d: LabeledMatrix, tol: ToleranceConfig = DEFAULT_TOLERANCE) -> dict[str, float]:
@@ -267,27 +265,29 @@ def specialization_preorder(
     if bool(broken.any()):
         x, z = divmod(int(np.argmax(broken)), n)
         y = int(np.argmax(rel[x, :] & rel[:, z]))
+        lhs, rhs = float(E[x, z]), tol.eps_eq
+        w = ViolationWitness(labels[x], labels[y], labels[z], lhs, rhs, abs(lhs - rhs))
         raise TransitivityError(
-            "thresholded relation is not transitive: "
-            f"{labels[x]!r} <= {labels[y]!r} <= {labels[z]!r} but "
-            f"d({labels[x]!r},{labels[z]!r}) = {float(E[x, z])!r} > eps_eq; "
-            "the equality tolerance is inconsistent with the inequality tolerance"
+            f"thresholded relation is not transitive: {w.x!r} <= {w.y!r} <= {w.z!r} but "
+            f"d({w.x!r},{w.z!r}) = {lhs!r} > eps_eq; "
+            "the equality tolerance is inconsistent with the inequality tolerance",
+            witness=w,
         )
     relation = tuple((labels[i], labels[j]) for i, j in np.argwhere(rel).tolist())
+    # An equivalence (reflexive, transitive as checked); a class's first member represents it.
     mutual = rel & rel.T
-    assigned = np.zeros(n, dtype=bool)
-    classes: list[tuple[str, ...]] = []
-    reps: list[int] = []
-    for i in range(n):
-        if assigned[i]:
-            continue
-        members = np.flatnonzero(mutual[i])
-        assigned[members] = True
-        classes.append(tuple(labels[j] for j in members.tolist()))
-        reps.append(i)
+    reps = np.flatnonzero(mutual.argmax(axis=0) == np.arange(n)).tolist()
+    classes = tuple(tuple(labels[j] for j in np.flatnonzero(mutual[r]).tolist()) for r in reps)
     between = rel[np.ix_(reps, reps)] & ~np.eye(len(reps), dtype=bool)
     quotient = tuple((labels[reps[a]], labels[reps[b]]) for a, b in np.argwhere(between).tolist())
-    return PreorderResult(relation=relation, classes=tuple(classes), quotient_order=quotient)
+    return PreorderResult(relation=relation, classes=classes, quotient_order=quotient)
+
+
+def _gromov(d: LabeledMatrix, x0: str, tol: ToleranceConfig, op: str) -> np.ndarray:
+    """The entries of G = gromov_product(d, x0, tol); a refusal names op."""
+    _require(d, tol, op, "metric")
+    v = d.entries[:, d.index(x0)]
+    return ((v[:, None] + v[None, :]) - d.entries) * 0.5
 
 
 def gromov_product(
@@ -300,10 +300,7 @@ def gromov_product(
     G(x,y) = (d(x,x0) + d(y,x0) - d(x,y)) / 2. Nonnegative and symmetric,
     with G(x0, x0) = 0; -G is a symmetric protometric with entries <= 0.
     """
-    _require(d, tol, "gromov_product", "metric")
-    i0 = d.index(x0)
-    v = d.entries[:, i0]
-    return LabeledMatrix(d.labels, ((v[:, None] + v[None, :]) - d.entries) * 0.5)
+    return LabeledMatrix(d.labels, _gromov(d, x0, tol, "gromov_product"))
 
 
 def farris_transform(
@@ -321,9 +318,9 @@ def farris_transform(
     constant = _real_number("constant", constant)
     if not np.isfinite(constant):
         raise InputError(f"constant must be finite, got {constant!r}")
-    G = gromov_product(d, x0, tol)
+    G = _gromov(d, x0, tol, "farris_transform")
     with np.errstate(over="ignore"):  # LabeledMatrix rejects an overflowed result
-        return LabeledMatrix(d.labels, constant - G.entries)
+        return LabeledMatrix(d.labels, constant - G)
 
 
 def min_farris_constant(
@@ -342,10 +339,10 @@ def min_farris_constant(
     slack of -G is the negated slack of G, bit for bit. -G fails at most x, so
     the scan takes a tolerance at which nothing fails and builds no mask.
     """
-    G = gromov_product(d, x0, tol)
-    scan = check_triangle(LabeledMatrix(G.labels, -G.entries), InequalityType.OUTGOING,
+    G = _gromov(d, x0, tol, "min_farris_constant")
+    scan = check_triangle(LabeledMatrix(d.labels, -G), InequalityType.OUTGOING,
                           ToleranceConfig(eps_ineq=sys.float_info.max))
-    return max(0.0, -scan.min_slack, float(G.entries.max()))  # 0.0 wins a tie with -0.0
+    return max(0.0, -scan.min_slack, float(G.max()))  # 0.0 wins a tie with -0.0
 
 
 def log_transform(s: LabeledMatrix) -> LabeledMatrix:

@@ -142,6 +142,28 @@ def test_witness_cap_must_be_positive():
         check_transition(m, max_witnesses=0)
 
 
+def capped_runs_on_failing_inputs():
+    """Each checker, and classify, as a function of max_witnesses, on an input it fails."""
+    m, zeros, similar = lm(HDIFF), lm(np.zeros((2, 2))), lm([[1.0, 2.0], [2.0, 1.0]])
+    return [lambda cap: check_triangle(m, "o", max_witnesses=cap),
+            lambda cap: check_prequadrangle(m, "t", max_witnesses=cap),
+            lambda cap: check_strict(zeros, "t", max_witnesses=cap),
+            lambda cap: check_transition(similar, max_witnesses=cap),
+            lambda cap: classify(m, max_witnesses=cap)]
+
+
+@pytest.mark.parametrize("cap", [2.5, "3", None, True])
+def test_witness_cap_must_be_an_integer(cap):
+    for run in capped_runs_on_failing_inputs():
+        with pytest.raises(InputError, match=f"^max_witnesses must be an integer, got {cap!r}$"):
+            run(cap)
+
+
+def test_witness_cap_takes_a_numpy_integer():
+    for run in capped_runs_on_failing_inputs():
+        assert repr(run(np.int64(2))) == repr(run(2))
+
+
 def test_strict_examples():
     assert check_strict(lm([[0.0, 1.0], [1.0, 0.0]]), "t").status is Status.PASS
     assert check_strict(lm([[1.0, 3.0], [3.0, 2.0]]), "t").status is Status.PASS

@@ -463,10 +463,18 @@ def test_transform_gromov_and_farris(cli):
     code, _, err = cli(["transform", "gromov", "--base-label", "zz"], stdin=COLLINEAR_CSV)
     assert code == 2
     assert "not a point" in err
-    # gromov needs a metric
-    code, _, err = cli(["transform", "gromov", "--base-label", "x1"], stdin="0,1\n2,0\n")
-    assert code == 1
-    assert "gromov_product needs metric, but symmetric fails" in err
+
+
+@pytest.mark.parametrize("argv, op", [
+    (["gromov"], "gromov_product"),
+    (["farris", "--constant", "5"], "farris_transform"),
+    (["minfarris"], "min_farris_constant"),
+])
+def test_a_gromov_op_refuses_a_non_metric_under_its_own_name(cli, argv, op):
+    code, out, err = cli(["transform", *argv, "--base-label", "x1"], stdin="0,1\n2,0\n")
+    assert (code, out) == (1, "")
+    assert err == (f"error: {op} needs metric, but symmetric fails at "
+                   "(x='x1', y='x2', z='x2'): lhs=1.0, rhs=2.0\n")
 
 
 def test_transform_minfarris(cli):
@@ -607,6 +615,15 @@ def test_generate_rejects_a_scale_that_can_overflow(cli, argv):
         code, out, err = cli(["generate", *argv, "--seed", "1"])
     assert (code, out) == (2, "")
     assert err == f"error: scale must be > 0 and at most 2**1021, got {float(argv[-1])!r}\n"
+
+
+def test_generate_refuses_a_scale_whose_rounded_draws_fail_the_class(cli):
+    with warnings_printed():
+        code, out, err = cli(["generate", "protometric", "--n", "30", "--seed", "0",
+                              "--scale", "33333333.3"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: scale 33333333.3 rounds the draws")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_generate_to_file(cli, tmp_path):

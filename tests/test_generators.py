@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -118,9 +119,25 @@ def test_genspec_validation():
         {"n": 3, "seed": 0, "scale": math.nextafter(2.0 ** 1021, math.inf)},
         {"n": 3, "seed": 0, "scale": 1.7e308},
         {"n": 3, "seed": 0, "scale": 10 ** 400},
+        {"n": 2.0, "seed": 0},
+        {"n": "3", "seed": 0},
+        {"n": 3, "seed": None},
+        {"n": 3, "seed": np.float64(1.0)},
     ):
         with pytest.raises(InputError):
             GenSpec(**kw)
+
+
+def test_genspec_takes_numpy_integers_as_ints():
+    spec = GenSpec(n=np.int64(3), seed=np.uint64(5))
+    assert spec == GenSpec(n=3, seed=5)
+    assert type(spec.n) is int and type(spec.seed) is int
+    with pytest.raises(InputError, match=r"^n must be an integer >= 1, got 0$"):
+        GenSpec(n=np.int64(0), seed=0)
+    with pytest.raises(InputError, match=r"^seed must be an unsigned 64-bit integer, got -1$"):
+        GenSpec(n=3, seed=np.int64(-1))
+    with pytest.raises(InputError, match=r"^n must be an integer, got 2\.5$"):
+        GenSpec(n=2.5, seed=0)
 
 
 @pytest.mark.parametrize("scale", [2 ** 1021, 2.0 ** 1021], ids=["int", "float"])
@@ -408,6 +425,16 @@ def test_a_draw_is_tested_before_it_is_closed(name, monkeypatch):
     with pytest.raises(InputError, match=r"^scale 1e-10 is too small"):
         gen(GenSpec(8, 0, 1e-10))
     assert closures == []
+
+
+@pytest.mark.parametrize("scale", [33333333.3, 1e300])
+@pytest.mark.parametrize("ty", "tioc")
+def test_a_protometric_whose_rounded_base_is_not_closed_is_an_input_error(scale, ty):
+    # Off the exact grid a draw rounds, and the closed base can miss the
+    # type-t pre-quadrangle inequality by more than eps_ineq.
+    message = rf"^scale {re.escape(repr(scale))} rounds the draws, and the closed base then "
+    with pytest.raises(InputError, match=message + r"fails prequad_t at \(x='x\d+', y='x\d+', "):
+        gen_protometric(GenSpec(30, 0, scale), ty)
 
 
 def test_perturb_rejects_bad_magnitude():

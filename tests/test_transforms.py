@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from protometrics import (
@@ -319,8 +319,10 @@ def test_preorder_transitivity_counts_any_number_of_middle_points(k):
     E[0, z] = 1.5e-9
     d = lm(E)
     assert classify(d).quasi_semi_metric
-    with pytest.raises(TransitivityError, match=f"'x1' <= 'x2' <= 'x{n}' but"):
+    with pytest.raises(TransitivityError, match=f"'x1' <= 'x2' <= 'x{n}' but") as caught:
         specialization_preorder(d)
+    assert caught.value.witness == ViolationWitness("x1", "x2", f"x{n}", 1.5e-9, 1e-9,
+                                                    abs(1.5e-9 - 1e-9))
 
 
 @st.composite
@@ -337,6 +339,12 @@ def near_preorders(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(near_preorders())
+# Interleaved classes {x1, x3} and {x2, x4}, and the singleton x5 below {x1, x3}.
+@example(lm([[0.0, 1.0, 0.0, 1.0, 1.0], [1.0, 0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0, 1.0],
+             [1.0, 0.0, 1.0, 0.0, 1.0], [0.0, 1.0, 0.0, 1.0, 0.0]]))
+# Classes {x1, x4}, {x2} and {x3, x5}, with x2 below {x3, x5} within eps_eq.
+@example(lm([[0.0, 1.0, 1.0, 0.0, 1.0], [1.0, 0.0, 4e-10, 1.0, 9e-10],
+             [1.0, 1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 1.0, 0.0, 1.0], [1.0, 1.0, 9e-10, 1.0, 0.0]]))
 def test_preorder_matches_the_oracle(d):
     try:
         got = specialization_preorder(d)
@@ -392,6 +400,17 @@ def test_gromov_product_requires_metric():
         gromov_product(bad, "x1")
     with pytest.raises(InputError, match="not a point"):
         gromov_product(lm(PATH), "zz")
+
+
+@pytest.mark.parametrize("op, run", [
+    ("gromov_product", lambda d: gromov_product(d, "x1")),
+    ("farris_transform", lambda d: farris_transform(d, "x1", 5.0)),
+    ("min_farris_constant", lambda d: min_farris_constant(d, "x1")),
+])
+def test_a_gromov_op_refuses_a_non_metric_under_its_own_name(op, run):
+    with pytest.raises(PreconditionError, match=f"^{op} needs metric, but symmetric fails") as got:
+        run(lm([[0.0, 1.0], [2.0, 0.0]]))
+    assert got.value.witness == ViolationWitness("x1", "x2", "x2", 1.0, 2.0, 1.0)
 
 
 def test_farris_transform_golden():
